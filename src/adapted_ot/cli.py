@@ -10,8 +10,8 @@ Trees are either JSON files or generator specs in a small mini-language:
     offset:m=2,side=x|y       interleaved-information random walks
     tcbm:shift=0.05,side=x|y  time-changed Brownian trees (bursty profile)
 
-Exit codes: 0 ok, 1 I/O or parse error, 2 tree validation error,
-3 solver failure.
+Exit codes: 0 ok, 1 I/O or parse error, 2 validation error (tree or
+parameter), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -133,6 +133,8 @@ def cmd_dist(args) -> int:
             rep = _DIST_FNS[args.kind](x, y, args.p)
     except LPError as exc:
         raise CliError(f"solver failure: {exc}", EXIT_SOLVER) from exc
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION) from exc
     print(json.dumps(rep.to_json_dict(include_witness=args.emit_witness)))
     return EXIT_OK
 
@@ -204,7 +206,10 @@ def cmd_euler(args) -> int:
 def cmd_topology_table(args) -> int:
     ladder = [float(v) if args.family in ("fig1", "tcbm") else int(v)
               for v in args.ladder.split(",")]
-    rec = topology_table(args.family, ladder, p=args.p, threads=args.threads)
+    try:
+        rec = topology_table(args.family, ladder, p=args.p, threads=args.threads)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION) from exc
     rows = rec.outputs["rows"]
     cols = ["param"] + list(rows[0][1].keys())
     flat = [[param] + list(row.values()) for param, row in rows]

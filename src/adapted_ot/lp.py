@@ -1,13 +1,17 @@
-"""Dense two-phase simplex for equality-form linear programs.
+"""Equality-form linear programs, solved by the HiGHS dual simplex.
 
 min c.x  s.t.  A x = b, x >= 0.
 
-Redundant rows are eliminated up front by Gaussian row reduction so the
-tableau carries an independent row system; phase-1 artificials then certify
-feasibility.  Pivoting uses the most-negative reduced cost with first-index
-tie-breaks and falls back to Bland's rule once the objective stalls, which
-guarantees termination on the degenerate transport instances this package
-produces.
+`lp_solve` is a thin wrapper over scipy's HiGHS interface (Huangfu & Hall,
+Math. Prog. Comp. 2018).  The dual simplex ends on a basic solution, so
+every witness is a vertex.  `transport_lp` builds the marginal rows of a
+coupling as a sparse matrix and stacks any extra equality rows under them.
+Transports with one atom on a side are forced; with two atoms on a side
+(and no extra rows) they are solved in closed form.  Every returned
+solution passes the same primal residual check.
+
+scipy.optimize and scipy.sparse are imported on first use: processes that
+never solve an LP do not pay for them.
 """
 
 from __future__ import annotations
@@ -16,29 +20,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FEAS_TOL = 1e-10
-PIVOT_TOL = 1e-9
-COST_TOL = 1e-10
+FEAS_TOL = 1e-10      # HiGHS primal and dual feasibility tolerance
+RESID_TOL = 1e-8      # largest |A x - b| accepted in a returned solution
+ZERO_TOL = 1e-14      # solution entries below this are set to exactly 0
+
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": FEAS_TOL,
+                  "dual_feasibility_tolerance": FEAS_TOL}
 
 
 class LPError(RuntimeError):
-    """Numerical failure; carries the offending pivot for diagnosis."""
-
-    def __init__(self, message, iteration=None, pivot=None):
-        super().__init__(message)
-        self.iteration = iteration
-        self.pivot = pivot
+    """The LP backend failed, or its solution failed the residual check."""
 
 
 @dataclass
 class LinearProgram:
     c: np.ndarray
-    A: np.ndarray
+    A: np.ndarray         # dense array or scipy sparse matrix
     b: np.ndarray
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
-        self.A = np.asarray(self.A, dtype=float)
+        if not hasattr(self.A, "tocsr"):
+            self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float).ravel()
         if self.A.shape != (self.b.size, self.c.size):
             raise ValueError("inconsistent LP dimensions")
@@ -50,237 +53,63 @@ class LPResult:
     value: float
     x: np.ndarray
     iterations: int
-    rows_kept: int
     diagnostics: dict = field(default_factory=dict)
 
 
-def _row_reduce(A, b, tol):
-    """Select a maximal independent subset of rows via rank-revealing
-    (column-pivoted) QR of the augmented transpose.
-
-    Inconsistent systems keep the offending row (it is independent through
-    its b-entry), so phase-1 flags them downstream.  Row dependencies in the
-    transport systems built here are exact rational identities, far below
-    the rank threshold.
-    """
-    from scipy.linalg import qr
-
-    scale = np.maximum(np.max(np.abs(A), axis=1), np.abs(b))
-    scale = np.where(scale == 0.0, 1.0, scale)
-    aug = np.hstack([A / scale[:, None], (b / scale)[:, None]])
-    _, R, perm = qr(aug.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros(0, dtype=int)
-    rank = int((diag > max(tol, 1e-12) * diag[0]).sum())
-    return np.sort(perm[:rank])
+def _optimal(c, x, iterations, resid) -> LPResult:
+    if resid > RESID_TOL:
+        raise LPError(f"primal residual {resid:.3e} too large")
+    return LPResult("optimal", float(c @ x), x, iterations, {"residual": resid})
 
 
-def _pivot(T, basis, prow, pcol):
-    piv = T[prow, pcol]
-    T[prow] /= piv
-    col = T[:, pcol].copy()
-    col[prow] = 0.0
-    T -= np.outer(col, T[prow])
-    # keep the pivot column numerically exact
-    T[:, pcol] = 0.0
-    T[prow, pcol] = 1.0
-    basis[prow] = pcol
-
-
-def _ratio_test(T, basis, pcol, m, bland):
-    col = T[:m, pcol]
-    rhs = T[:m, -1]
-    cand = np.nonzero(col > PIVOT_TOL)[0]
-    if cand.size == 0:
-        return None
-    ratios = np.maximum(rhs[cand], 0.0) / col[cand]
-    best = ratios.min()
-    ties = cand[ratios <= best + 1e-12]
-    if bland:
-        # anti-cycling: smallest basis variable index among the ties
-        return int(ties[np.argmin(basis[ties])])
-    # stability: largest pivot element among the ties
-    return int(ties[np.argmax(col[ties])])
-
-
-class _Tableau:
-    """Dense tableau with refactorization from the original row data.
-
-    Columns j < n are the real variables, columns n..n+m-1 the phase-1
-    artificials (unit columns).  Refactorization recomputes B^-1 [A | I | b]
-    and the reduced-cost row exactly for the current basis, wiping the
-    round-off that accumulates over long pivot sequences.
-    """
-
-    def __init__(self, A2, b2, cost, with_artificials):
-        self.A2 = A2
-        self.b2 = b2
-        self.m, self.n = A2.shape
-        self.with_art = with_artificials
-        self.ncols = self.n + (self.m if with_artificials else 0)
-        self.cost = cost  # length ncols
-        self.T = None
-
-    def refactor(self, basis):
-        m, n = self.m, self.n
-        B = np.empty((m, m))
-        for k, j in enumerate(basis):
-            if j < n:
-                B[:, k] = self.A2[:, j]
-            else:
-                B[:, k] = 0.0
-                B[j - n, k] = 1.0
-        rhs = np.empty((m, self.ncols + 1))
-        rhs[:, :n] = self.A2
-        if self.with_art:
-            rhs[:, n:self.ncols] = np.eye(m)
-        rhs[:, -1] = self.b2
-        try:
-            body = np.linalg.solve(B, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise LPError(f"singular basis during refactorization: {exc}") from exc
-        T = np.empty((m + 1, self.ncols + 1))
-        T[:m] = body
-        cb = self.cost[basis]
-        T[m, :self.ncols] = self.cost - cb @ body[:, :self.ncols]
-        T[m, -1] = -(cb @ body[:, -1])
-        self.T = T
-
-
-def _run_simplex(tab, basis, max_iter, chunk=500):
-    """Pivot until a refactor-verified optimum; returns (status, iterations).
-
-    Dantzig pricing with first-index ties, switching to Bland's rule after
-    an objective stall; every `chunk` pivots (and before accepting an
-    optimum) the tableau is rebuilt from the original data.
-    """
-    m, ncols = tab.m, tab.ncols
-    tab.refactor(basis)
-    it = 0
-    bland = False
-    stall = 0
-    since_refactor = 0
-    last_obj = -tab.T[m, -1]
-    while it <= max_iter:
-        T = tab.T
-        rc = T[m, :ncols]
-        if bland:
-            neg = np.nonzero(rc < -COST_TOL)[0]
-            pcol = int(neg[0]) if neg.size else None
-        else:
-            pcol = int(np.argmin(rc))
-            if rc[pcol] >= -COST_TOL:
-                pcol = None
-        if pcol is None:
-            if since_refactor == 0:
-                return "optimal", it
-            tab.refactor(basis)
-            since_refactor = 0
-            continue
-        prow = _ratio_test(T, basis, pcol, m, bland)
-        if prow is None:
-            if since_refactor == 0:
-                return "unbounded", it
-            tab.refactor(basis)
-            since_refactor = 0
-            continue
-        _pivot(T, basis, prow, pcol)
-        it += 1
-        since_refactor += 1
-        obj = -T[m, -1]
-        if obj < last_obj - 1e-12:
-            stall = 0
-            last_obj = obj
-        else:
-            stall += 1
-            if stall > m + ncols + 100:
-                bland = True
-        if since_refactor >= chunk:
-            tab.refactor(basis)
-            since_refactor = 0
-            last_obj = min(last_obj, -tab.T[m, -1])
-    raise LPError("simplex iteration limit exceeded", iteration=it)
-
-
-def lp_solve(lp: LinearProgram, max_iter: int | None = None) -> LPResult:
+def lp_solve(lp: LinearProgram) -> LPResult:
     """Solve to an optimal basic solution; status optimal/infeasible/unbounded."""
-    return _lp_solve(lp, max_iter, reduce_rows=True)
-
-
-def _lp_solve(lp: LinearProgram, max_iter, reduce_rows: bool) -> LPResult:
     c, A, b = lp.c, lp.A, lp.b
-    m0, n = A.shape
+    n = c.size
     if n == 0:
-        return LPResult("optimal", 0.0, np.zeros(0), 0, 0)
-    if m0 == 0:
-        if np.all(c >= -COST_TOL):
-            return LPResult("optimal", 0.0, np.zeros(n), 0, 0)
-        return LPResult("unbounded", -np.inf, np.zeros(n), 0, 0)
+        return LPResult("optimal", 0.0, np.zeros(0), 0)
+    from scipy.optimize import linprog
 
-    kept = _row_reduce(A, b, 1e-10) if reduce_rows else np.arange(m0)
-    A2 = A[kept].copy()
-    b2 = b[kept].copy()
-    m = A2.shape[0]
-    flip = b2 < 0
-    A2[flip] *= -1.0
-    b2[flip] *= -1.0
-    if max_iter is None:
-        max_iter = 100 * (m + n) + 20000
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds",
+                  options=_HIGHS_OPTIONS)
+    if res.status == 2:
+        return LPResult("infeasible", np.nan, np.full(n, np.nan), res.nit)
+    if res.status == 3:
+        return LPResult("unbounded", -np.inf, np.full(n, np.nan), res.nit)
+    if res.status != 0:
+        raise LPError(f"HiGHS status {res.status}: {res.message}")
+    x = np.where(res.x < ZERO_TOL, 0.0, res.x)
+    resid = float(np.max(np.abs(A @ x - b), initial=0.0))
+    return _optimal(c, x, res.nit, resid)
 
-    # phase 1: feasibility via artificials
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    tab = _Tableau(A2, b2, cost1, with_artificials=True)
-    basis = np.arange(n, n + m)
-    status, it = _run_simplex(tab, basis, max_iter)
-    if status != "optimal":
-        raise LPError("phase-1 did not reach an optimum", iteration=it)
-    if -tab.T[m, -1] > 1e-7:
-        return LPResult("infeasible", np.nan, np.full(n, np.nan), it, m,
-                        {"phase1": float(-tab.T[m, -1])})
 
-    # drive surviving artificials out of the basis where possible
-    T = tab.T
-    for r in range(m):
-        if basis[r] >= n:
-            row = np.abs(T[r, :n])
-            j = int(np.argmax(row))
-            if row[j] > PIVOT_TOL:
-                _pivot(T, basis, r, j)
-                it += 1
-    live = basis < n
-    if not np.all(live):
-        keep_rows = np.nonzero(live)[0]
-        A2 = A2[keep_rows]
-        b2 = b2[keep_rows]
-        basis = basis[keep_rows]
-        m = keep_rows.size
+def _two_row_plan(p, q, cost):
+    """Optimal plan with two rows.  Row 1 is q minus row 0, which leaves a
+    fractional knapsack: row 0 takes whole columns in ascending order of
+    cost[0] - cost[1] (stable sort, so ties go in index order) until p[0]
+    is spent.  At most one column is split, so the plan is a vertex."""
+    order = np.argsort(cost[0] - cost[1], kind="stable")
+    qs = q[order]
+    before = np.concatenate(([0.0], np.cumsum(qs[:-1])))
+    row0 = np.empty_like(q)
+    row0[order] = np.clip(p[0] - before, 0.0, qs)
+    return np.vstack([row0, q - row0])
 
-    # phase 2 on the real columns
-    tab = _Tableau(A2, b2, c.copy(), with_artificials=False)
-    status, it2 = _run_simplex(tab, basis, max_iter)
-    it += it2
-    if status == "unbounded":
-        return LPResult("unbounded", -np.inf, np.full(n, np.nan), it, m)
 
-    x = np.zeros(n)
-    x[basis] = tab.T[:m, -1]
-    try:
-        xb = np.linalg.solve(A2[:, basis], b2)
-        if np.all(xb > -1e-8):
-            x = np.zeros(n)
-            x[basis] = np.maximum(xb, 0.0)
-    except np.linalg.LinAlgError:
-        pass
-    x[np.abs(x) < 1e-14] = 0.0
-    resid = float(np.max(np.abs(A @ x - b))) if m else 0.0
-    if resid > 1e-8:
-        if reduce_rows:
-            # a near-dependent row was dropped that actually mattered;
-            # redo the solve with every row carried by phase-1 artificials
-            return _lp_solve(lp, max_iter, reduce_rows=False)
-        raise LPError(f"primal residual {resid:.3e} too large", iteration=it)
-    return LPResult("optimal", float(c @ x), x, it, m, {"residual": resid})
+def _transport_rows(npp: int, nq: int, extra_rows):
+    """CSR rows of sum_j x[i, j] = p[i], then of sum_i x[i, j] = q[j], then
+    the extra rows."""
+    from scipy.sparse import csr_matrix, vstack
+
+    n = npp * nq
+    cells = np.arange(n)
+    indices = np.concatenate([cells, cells.reshape(npp, nq).T.ravel()])
+    indptr = np.concatenate([np.arange(0, n + 1, nq),
+                             n + npp * np.arange(1, nq + 1)])
+    A = csr_matrix((np.ones(2 * n), indices, indptr), shape=(npp + nq, n))
+    if extra_rows is None:
+        return A
+    return vstack([A, csr_matrix(extra_rows)], format="csr")
 
 
 def transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray,
@@ -291,36 +120,24 @@ def transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray,
     p = np.asarray(p, dtype=float).ravel()
     q = np.asarray(q, dtype=float).ravel()
     npp, nq = p.size, q.size
-    nvar = npp * nq
+    c = np.asarray(cost, dtype=float).ravel()
     # fast paths: one-sided problems are forced
     if npp == 1 or nq == 1:
         x = np.outer(p, q).ravel()
-        return LPResult("optimal", float(cost.ravel() @ x), x, 0, 0)
-    rows = npp + nq
-    extra = 0 if extra_rows is None else extra_rows.shape[0]
-    A = np.zeros((rows + extra, nvar))
-    b = np.empty(rows + extra)
-    for i in range(npp):
-        A[i, i * nq:(i + 1) * nq] = 1.0
-        b[i] = p[i]
-    for j in range(nq):
-        A[npp + j, j::nq] = 1.0
-        b[npp + j] = q[j]
-    if extra:
-        A[rows:] = extra_rows
-        b[rows:] = extra_rhs if extra_rhs is not None else 0.0
-    return lp_solve(LinearProgram(cost.ravel(), A, b))
-
-
-def marginal_system(p: np.ndarray, q: np.ndarray):
-    """Marginal equality rows for a coupling, as (A, b)."""
-    npp, nq = p.size, q.size
-    A = np.zeros((npp + nq, npp * nq))
-    b = np.empty(npp + nq)
-    for i in range(npp):
-        A[i, i * nq:(i + 1) * nq] = 1.0
-        b[i] = p[i]
-    for j in range(nq):
-        A[npp + j, j::nq] = 1.0
-        b[npp + j] = q[j]
-    return A, b
+        return LPResult("optimal", float(c @ x), x, 0)
+    if extra_rows is None and 2 in (npp, nq):
+        cost2 = c.reshape(npp, nq)
+        plan = (_two_row_plan(p, q, cost2) if npp == 2
+                else _two_row_plan(q, p, cost2.T).T)
+        plan = np.where(plan < ZERO_TOL, 0.0, plan)
+        resid = max(np.abs(plan.sum(axis=1) - p).max(),
+                    np.abs(plan.sum(axis=0) - q).max())
+        # negative or unbalanced weights go to HiGHS, which classifies them
+        if (p >= 0).all() and (q >= 0).all() and resid <= RESID_TOL:
+            return _optimal(c, plan.ravel(), 0, float(resid))
+    A = _transport_rows(npp, nq, extra_rows)
+    b = np.zeros(A.shape[0])
+    b[:npp], b[npp:npp + nq] = p, q
+    if extra_rhs is not None:
+        b[npp + nq:] = extra_rhs
+    return lp_solve(LinearProgram(c, A, b))

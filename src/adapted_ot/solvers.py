@@ -66,7 +66,9 @@ class DistanceReport:
         return out
 
 
-def _prepare(x: FilteredTree, y: FilteredTree):
+def _prepare(x: FilteredTree, y: FilteredTree, p: float):
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
     check_valid(x)
     check_valid(y)
     return align(x, y)
@@ -87,7 +89,7 @@ def wasserstein(x: FilteredTree, y: FilteredTree, p: float = 1.0,
     """W_p between the path laws (filtration-blind; invariant under
     hk_minimize because the law is)."""
     t0 = time.perf_counter()
-    x, y = _prepare(x, y)
+    x, y = _prepare(x, y, p)
     lx, ly = law(x), law(y)
     diff = lx.paths[:, None, :, :] - ly.paths[None, :, :, :]
     dist = np.linalg.norm(diff, axis=-1)
@@ -153,7 +155,7 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
     the global LP is used instead.
     """
     t0 = time.perf_counter()
-    x, y = _prepare(x, y)
+    x, y = _prepare(x, y, p)
     if metric == "l1" and p != 1.0:
         rep = eps_bicausal_lp(x, y, EpsShift(0, 0.0), p, witness=witness,
                               metric=metric)
@@ -202,6 +204,7 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
             plans[key] = res.x.reshape(len(cx), len(cy))
         return memo[key]
 
+    capped = False
     try:
         rx = np.array([nd.prob for nd in x.levels[0]])
         ry = np.array([nd.prob for nd in y.levels[0]])
@@ -213,6 +216,14 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
         lp_iters += root.iterations
         value = max(root.value, 0.0) ** (1.0 / p)
     except _StateCapExceeded:
+        capped = True
+    finally:
+        # solve refers to itself through its closure cell; clearing the cell
+        # breaks that cycle, so memo, plans and both trees are freed on
+        # return rather than at the next full garbage collection
+        solve = None
+    if capped:
+        memo = plans = None  # not needed by the global LP below
         rep = eps_bicausal_lp(x, y, EpsShift(0, 0.0), p, witness=witness,
                               metric=metric)
         rep.kind = "AW_strict"
@@ -280,7 +291,7 @@ def eps_bicausal_lp(x: FilteredTree, y: FilteredTree, eps, p: float = 1.0,
                     metric: str = "sup") -> DistanceReport:
     """Optimal transport over eps-bicausal couplings (no shift penalty added)."""
     t0 = time.perf_counter()
-    x, y = _prepare(x, y)
+    x, y = _prepare(x, y, p)
     if isinstance(eps, int):
         eps = EpsShift.for_grid(x.grid, eps)
     value, cpl, iters, nrows = _constrained_lp(
@@ -350,7 +361,7 @@ def aw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
     penalty exceeds the incumbent, so the scan over shifts prunes early; the
     shift-0 term is computed by the nested dynamic program when allowed.
     """
-    x, y = _prepare(x, y)
+    x, y = _prepare(x, y, p)
     return _outer_minimize(x, y, p, (X_TO_Y, Y_TO_X), "AW", penalty,
                            use_dp, witness, cell_cap, metric=metric)
 
@@ -361,7 +372,7 @@ def cw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
        metric: str = "sup") -> DistanceReport:
     """Causal distance: couplings eps-causal from x to y, penalty added,
     minimized over shifts.  Not symmetric."""
-    x, y = _prepare(x, y)
+    x, y = _prepare(x, y, p)
     return _outer_minimize(x, y, p, (X_TO_Y,), "CW", penalty,
                            False, witness, cell_cap, metric=metric)
 
@@ -388,7 +399,7 @@ def strict_scw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
                metric: str = "sup") -> DistanceReport:
     """Symmetrized causal distance with the shift forced to zero."""
     t0 = time.perf_counter()
-    x, y = _prepare(x, y)
+    x, y = _prepare(x, y, p)
     vals = []
     iters = 0
     cpl = None
@@ -427,7 +438,7 @@ def hellwig(x: FilteredTree, y: FilteredTree) -> DistanceReport:
     the root time included); the terminal term is added unweighted.
     """
     t0 = time.perf_counter()
-    x, y = _prepare(x, y)
+    x, y = _prepare(x, y, 1.0)
     base = np.minimum(path_cost_matrix(x, y), 1.0)
     cx, cy = rank1_conditional_laws(x), rank1_conditional_laws(y)
     times = np.array((0.0,) + x.grid.times)

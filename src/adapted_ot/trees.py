@@ -258,6 +258,10 @@ def validate(tree: FilteredTree) -> list:
                 out.append(f"probability > 1 at level {i} node {j}")
     if out:
         return out
+    for i, vals in enumerate(tree.level_values):
+        bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+        if bad.size:
+            out.append(f"non-finite value at level {i} node {bad[0]}")
     s0 = sum(nd.prob for nd in tree.levels[0])
     if abs(s0 - 1.0) > PROB_TOL:
         out.append(f"root-level probabilities sum to {s0:.12g}")

@@ -164,3 +164,27 @@ def test_topology_table_self_pair_zeros(capsys):
     row = dict(zip(header, lines[1].split(",")))
     for col in ("W", "AW", "AW_strict", "SCW", "Hellwig"):
         assert float(row[col]) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_exit_code_non_finite_tree(tmp_path, capsys):
+    doc = json.loads(tree_to_json(figure1_pair(0.1)[0]))
+    doc["levels"][-1][0]["value"] = [float("nan")]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "dist", "--left", str(path),
+                             "--right", "fig1:P")
+    assert code == 2
+    assert out == ""
+    assert "non-finite value" in err
+
+
+def test_exit_code_p_below_one(capsys):
+    code, out, err = run_cli(capsys, "dist", "--left", "fig1:P",
+                             "--right", "fig1:Pe(0.1)", "--p", "0")
+    assert code == 2
+    assert out == ""
+    assert "p must be" in err
+    code, _, err = run_cli(capsys, "topology-table", "--family", "fig1",
+                           "--ladder", "0.1", "--p", "0.5")
+    assert code == 2
+    assert "p must be" in err

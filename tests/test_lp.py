@@ -52,14 +52,50 @@ def _brute_force_transport(p, q, cost):
 
 
 def test_3x3_matches_vertex_enumeration(rng):
-    for _ in range(5):
-        p = rng.dirichlet(np.ones(3))
-        q = rng.dirichlet(np.ones(3))
-        cost = rng.random((3, 3))
-        res = transport_lp(p, q, cost)
+    # the two-atom shapes take the closed form, 3x3 goes to HiGHS
+    for shape in ((2, 2), (2, 5), (5, 2), (3, 3)):
+        for _ in range(5):
+            p = rng.dirichlet(np.ones(shape[0]))
+            q = rng.dirichlet(np.ones(shape[1]))
+            cost = rng.random(shape)
+            res = transport_lp(p, q, cost)
+            assert res.status == "optimal"
+            oracle = _brute_force_transport(p, q, cost)
+            assert res.value == pytest.approx(oracle, abs=1e-9)
+
+
+def test_two_atom_closed_form_is_a_vertex(rng):
+    for shape in ((2, 6), (6, 2)):
+        p = rng.dirichlet(np.ones(shape[0]))
+        q = rng.dirichlet(np.ones(shape[1]))
+        res = transport_lp(p, q, rng.random(shape))
         assert res.status == "optimal"
-        oracle = _brute_force_transport(p, q, cost)
-        assert res.value == pytest.approx(oracle, abs=1e-9)
+        assert res.iterations == 0  # no simplex pivots were taken
+        plan = res.x.reshape(shape)
+        assert (plan >= 0).all()
+        # a vertex of the transport polytope has at most m + n - 1 cells
+        assert np.count_nonzero(plan) <= sum(shape) - 1
+        assert np.abs(plan.sum(axis=1) - p).max() <= 1e-12
+        assert np.abs(plan.sum(axis=0) - q).max() <= 1e-12
+
+
+def test_two_atom_ties_and_transpose():
+    # equal cost differences fill row 0 in column order
+    p = np.array([0.5, 0.5])
+    q = np.array([0.25, 0.25, 0.5])
+    res = transport_lp(p, q, np.zeros((2, 3)))
+    assert np.array_equal(res.x.reshape(2, 3),
+                          [[0.25, 0.25, 0.0], [0.0, 0.0, 0.5]])
+    cost = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]])
+    row = transport_lp(p, q, cost)
+    col = transport_lp(q, p, cost.T)
+    assert np.array_equal(col.x.reshape(3, 2), row.x.reshape(2, 3).T)
+
+
+def test_two_atom_unbalanced_is_infeasible():
+    res = transport_lp(np.array([0.5, 0.5]), np.array([0.3, 0.3]),
+                       np.zeros((2, 2)))
+    assert res.status == "infeasible"
 
 
 def test_infeasible_detected():

@@ -236,3 +236,41 @@ def test_regrid_mismatched_grids(rng):
     b = random_tree(rng, max_steps=3)
     rep = aw(a, b, witness=False)
     assert rep.value >= 0.0
+
+
+def test_eps_lp_counterexample_l1_shift1():
+    # the former dense simplex stopped on a singular basis on this LP
+    # (seen with single-threaded BLAS)
+    from adapted_ot import counterexample_pair
+    rep = eps_bicausal_lp(*counterexample_pair(4, 16), 1, metric="l1")
+    assert rep.verify_witness()
+    assert rep.value == pytest.approx(0.0441176470588, abs=1e-9)
+
+
+def test_nested_frees_its_memo_on_return():
+    import gc
+    import weakref
+    from adapted_ot import quantized_bm_tree
+    from adapted_ot.solvers import DEFAULT_STATE_CAP
+    gc.disable()
+    try:
+        # the default cap, then one that forces the global-LP fallback
+        for cap in (DEFAULT_STATE_CAP, 2):
+            x, y = random_walk_tree(3), quantized_bm_tree(3, 2)
+            ref = weakref.ref(x)
+            rep = nested_bicausal(x, y, state_cap=cap, witness=False)
+            assert ("dp_fallback" in rep.diagnostics) == (cap == 2)
+            del x
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0, float("nan"), float("inf")])
+def test_p_below_one_rejected(fig1, p):
+    x, y = fig1
+    calls = [wasserstein, nested_bicausal, aw, cw, scw, strict_scw,
+             lambda a, b, p: eps_bicausal_lp(a, b, 1, p)]
+    for fn in calls:
+        with pytest.raises(ValueError, match="p must be"):
+            fn(x, y, p)

@@ -211,3 +211,14 @@ def test_isomorphism_permutation_invariance():
         (Node(0, 0.5, (1.0,)), Node(0, 0.5, (-1.0,))),
     ))
     assert not tree_isomorphic(a, c)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_non_finite_value(fig1, value):
+    p, pe = fig1
+    last = list(p.levels[-1])
+    last[0] = Node(last[0].parent, last[0].prob, (value,))
+    bad = FilteredTree(p.grid, p.levels[:-1] + (tuple(last),), p.dim)
+    assert validate(bad) == ["non-finite value at level 2 node 0"]
+    with pytest.raises(ValueError, match="non-finite value"):
+        aw(bad, pe)
