@@ -224,12 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=20240901)
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--tolerance", type=float, default=1e-9,
-                        help="reporting tolerance (informational)")
-
     d = sub.add_parser("dist", help="distance between two trees")
     d.add_argument("--left", required=True)
     d.add_argument("--right", required=True)
@@ -238,14 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--eps-steps", type=int, default=0,
                    help="shift for --kind aw_eps")
     d.add_argument("--emit-witness", action="store_true")
-    common(d)
     d.set_defaults(fn=cmd_dist)
 
     o = sub.add_parser("os", help="optimal stopping value")
     o.add_argument("--tree", required=True)
     o.add_argument("--phi", default="state:identity")
     o.add_argument("--variant", choices=("inf", "sup"), default="inf")
-    common(o)
     o.set_defaults(fn=cmd_os)
 
     dk = sub.add_parser("donsker", help="random walk / BM coupling rate ladder")
@@ -253,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     dk.add_argument("--eps-ladder", default="1,0.5,0.25,0.125")
     dk.add_argument("--samples", type=int, default=10_000)
     dk.add_argument("--oversample", type=int, default=4)
-    common(dk)
+    dk.add_argument("--seed", type=int, default=20240901)
+    dk.add_argument("--threads", type=int, default=1)
     dk.set_defaults(fn=cmd_donsker)
 
     eu = sub.add_parser("euler", help="Euler scheme rate ladder")
@@ -263,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     eu.add_argument("--n-ladder", default="16,32,64,128,256,512,1024")
     eu.add_argument("--samples", type=int, default=10_000)
     eu.add_argument("--fine-factor", type=int, default=64)
-    common(eu)
+    eu.add_argument("--seed", type=int, default=20240901)
+    eu.add_argument("--threads", type=int, default=1)
     eu.set_defaults(fn=cmd_euler)
 
     tt = sub.add_parser("topology-table",
@@ -273,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     tt.add_argument("--ladder", required=True)
     tt.add_argument("--p", type=float, default=1.0)
-    common(tt)
+    tt.add_argument("--threads", type=int, default=1)
     tt.set_defaults(fn=cmd_topology_table)
     return ap
 

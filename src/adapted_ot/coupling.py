@@ -177,6 +177,19 @@ def glue(pi: Coupling, rho: Coupling) -> Coupling:
     return Coupling(pi.left, rho.right, w)
 
 
+def _path_distances(a: np.ndarray, b: np.ndarray, grid: TimeGrid,
+                    metric: str) -> np.ndarray:
+    """Pairwise distances between the value paths a (m, levels, dim) and
+    b (n, levels, dim) on `grid`; see path_cost_matrix for the metrics."""
+    dist = np.linalg.norm(a[:, None, :, :] - b[None, :, :, :], axis=-1)
+    if metric == "sup":
+        return dist.max(axis=-1)
+    if metric == "l1":
+        dt = np.diff(np.array((0.0,) + grid.times))
+        return dist[:, :, :-1] @ dt + dist[:, :, -1]
+    raise ValueError(f"unknown metric {metric!r}")
+
+
 def path_cost_matrix(x: FilteredTree, y: FilteredTree, metric: str = "sup") -> np.ndarray:
     """Pairwise path distances between leaves.
 
@@ -190,15 +203,7 @@ def path_cost_matrix(x: FilteredTree, y: FilteredTree, metric: str = "sup") -> n
     _require_same_grid(x, y)
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    diff = x.leaf_paths[:, None, :, :] - y.leaf_paths[None, :, :, :]
-    dist = np.linalg.norm(diff, axis=-1)  # (nx, ny, levels)
-    if metric == "sup":
-        return dist.max(axis=-1)
-    if metric == "l1":
-        times = np.array((0.0,) + x.grid.times)
-        dt = np.diff(times)
-        return dist[:, :, :-1] @ dt + dist[:, :, -1]
-    raise ValueError(f"unknown metric {metric!r}")
+    return _path_distances(x.leaf_paths, y.leaf_paths, x.grid, metric)
 
 
 def transport_cost(pi: Coupling, p: float = 1.0, metric: str = "sup") -> float:

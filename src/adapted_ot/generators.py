@@ -181,24 +181,12 @@ def counterexample_limit(m: int) -> FilteredTree:
 def aldous_functional(tree: FilteredTree) -> float:
     """E[ sup_t |X_t - E[X_1 | F_t]|^2 ], the squared distance between the
     path and its terminal prediction, maximized along the path."""
-    n = tree.n_levels
-    term = [None] * n
-    term[n - 1] = tree.level_values[n - 1].copy()
-    for i in range(n - 2, -1, -1):
-        out = np.zeros_like(tree.level_values[i])
-        for v in range(len(tree.levels[i])):
-            for c in tree.children[i][v]:
-                out[v] += tree.levels[i + 1][c].prob * term[i + 1][c]
-        term[i] = out
-    total = 0.0
-    for k in range(tree.n_leaves):
-        worst = 0.0
-        for i in range(n):
-            a = tree.ancestors[i][k]
-            gap = float(np.linalg.norm(tree.level_values[i][a] - term[i][a]))
-            worst = max(worst, gap * gap)
-        total += tree.leaf_probs[k] * worst
-    return float(total)
+    term = tree.terminal_prediction()
+    worst = np.zeros(tree.n_leaves)
+    for i in range(tree.n_levels):
+        gap = np.linalg.norm(tree.level_values[i] - term[i], axis=1)
+        worst = np.maximum(worst, (gap * gap)[tree.ancestors[i]])
+    return float(tree.leaf_probs @ worst)
 
 
 def offset_rw_pair(m: int):

@@ -6,9 +6,10 @@ min c.x  s.t.  A x = b, x >= 0.
 Math. Prog. Comp. 2018).  The dual simplex ends on a basic solution, so
 every witness is a vertex.  `transport_lp` builds the marginal rows of a
 coupling as a sparse matrix and stacks any extra equality rows under them.
-Transports with one atom on a side are forced; with two atoms on a side
-(and no extra rows) they are solved in closed form.  Every returned
-solution passes the same primal residual check.
+A transport with one atom on a side has one feasible plan, the other side's
+weights; with two atoms on a side (and no extra rows) it is solved in
+closed form.  Every returned solution passes the same primal residual
+check.
 
 scipy.optimize and scipy.sparse are imported on first use: processes that
 never solve an LP do not pay for them.
@@ -121,10 +122,18 @@ def transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray,
     q = np.asarray(q, dtype=float).ravel()
     npp, nq = p.size, q.size
     c = np.asarray(cost, dtype=float).ravel()
-    # fast paths: one-sided problems are forced
+    # one atom on a side forces the plan to the other side's weights
     if npp == 1 or nq == 1:
-        x = np.outer(p, q).ravel()
-        return LPResult("optimal", float(c @ x), x, 0)
+        x, total = (q, float(p[0])) if npp == 1 else (p, float(q[0]))
+        xs = x.tolist()  # list arithmetic: this path runs once per DP node
+        resid = abs(sum(xs) - total)
+        if extra_rows is not None:
+            rhs = 0.0 if extra_rhs is None else extra_rhs
+            resid = max(resid, float(np.abs(extra_rows @ x - rhs).max(initial=0.0)))
+        # negative, unbalanced or row-violating inputs go to HiGHS, which
+        # classifies them
+        if total >= 0 and min(xs) >= 0 and resid <= RESID_TOL:
+            return _optimal(c, x.copy(), 0, resid)
     if extra_rows is None and 2 in (npp, nq):
         cost2 = c.reshape(npp, nq)
         plan = (_two_row_plan(p, q, cost2) if npp == 2

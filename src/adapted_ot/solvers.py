@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X,
+from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _path_distances,
                        causality_constraints, is_eps_bicausal, is_eps_causal,
                        path_cost_matrix)
 from .lp import LPError, transport_lp
@@ -91,15 +91,7 @@ def wasserstein(x: FilteredTree, y: FilteredTree, p: float = 1.0,
     t0 = time.perf_counter()
     x, y = _prepare(x, y, p)
     lx, ly = law(x), law(y)
-    diff = lx.paths[:, None, :, :] - ly.paths[None, :, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    if metric == "sup":
-        cost = dist.max(axis=-1)
-    elif metric == "l1":
-        dt = np.diff(np.array((0.0,) + x.grid.times))
-        cost = dist[:, :, :-1] @ dt + dist[:, :, -1]
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    cost = _path_distances(lx.paths, ly.paths, x.grid, metric)
     res = transport_lp(lx.weights, ly.weights, cost ** p)
     if res.status != "optimal":
         raise LPError(f"transport LP ended with status {res.status}")
@@ -195,9 +187,7 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
             for bqi, d in enumerate(cy):
                 mm = max(m, node_dist(i + 1, c, d)) if metric == "sup" else 0.0
                 cost[a, bqi] = solve(i + 1, c, d, mm)
-        pc = np.array([x.levels[i + 1][c].prob for c in cx])
-        qd = np.array([y.levels[i + 1][d].prob for d in cy])
-        res = transport_lp(pc, qd, cost)
+        res = transport_lp(x.probs[i + 1][cx], y.probs[i + 1][cy], cost)
         lp_iters += res.iterations
         memo[key] = res.value + local
         if witness:
@@ -206,8 +196,7 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
 
     capped = False
     try:
-        rx = np.array([nd.prob for nd in x.levels[0]])
-        ry = np.array([nd.prob for nd in y.levels[0]])
+        rx, ry = x.probs[0], y.probs[0]
         root_cost = np.empty((rx.size, ry.size))
         for vi in range(rx.size):
             for wj in range(ry.size):

@@ -182,23 +182,16 @@ def snell_os(tree: FilteredTree, phi: CostFunction, variant: str = "inf") -> OSR
         rep[i][tree.ancestors[i]] = np.arange(tree.n_leaves)
     for i in range(n - 1, -1, -1):
         t = tree.level_time(i)
-        nv = np.empty(len(tree.levels[i]))
-        st = np.zeros(len(tree.levels[i]), dtype=bool)
-        for v in range(len(tree.levels[i])):
-            here = sign * phi.fn(tree.leaf_paths[rep[i][v], :i + 1], t)
-            if i == n - 1:
-                if not np.isfinite(here):
-                    raise ValueError("cost is not finite at a forced stop")
-                nv[v], st[v] = here, True
-                continue
-            cont = sum(tree.levels[i + 1][c].prob * values[i + 1][c]
-                       for c in tree.children[i][v])
-            if here <= cont:
-                nv[v], st[v] = here, True
-            else:
-                nv[v], st[v] = cont, False
-        values[i], stop[i] = nv, st
-    root = sum(nd.prob * values[0][j] for j, nd in enumerate(tree.levels[0]))
+        here = np.array([sign * phi.fn(tree.leaf_paths[r, :i + 1], t) for r in rep[i]])
+        if i == n - 1:
+            if not np.isfinite(here).all():
+                raise ValueError("cost is not finite at a forced stop")
+            values[i], stop[i] = here, np.ones(here.size, dtype=bool)
+            continue
+        cont = tree.children_sum(i, values[i + 1])
+        stop[i] = here <= cont
+        values[i] = np.where(stop[i], here, cont)
+    root = tree.children_sum(-1, values[0])[0]
     return OSResult(sign * float(root), StoppingRule(tree, stop),
                     [sign * v for v in values])
 
@@ -371,14 +364,10 @@ def modulus(tree: FilteredTree, eps_steps: int) -> float:
         np.add.at(per_node, anc, lp * dev)
         np.add.at(mass, anc, lp)
         g.append(per_node / mass)
-    w = g[n - 1].copy()
+    w = g[n - 1]
     for i in range(n - 2, -1, -1):
-        cont = np.zeros(len(tree.levels[i]))
-        for v in range(len(tree.levels[i])):
-            cont[v] = sum(tree.levels[i + 1][c].prob * w[c]
-                          for c in tree.children[i][v])
-        w = np.maximum(g[i], cont)
-    return float(sum(nd.prob * w[j] for j, nd in enumerate(tree.levels[0])))
+        w = np.maximum(g[i], tree.children_sum(i, w))
+    return float(tree.children_sum(-1, w)[0])
 
 
 def brute_force_modulus(tree: FilteredTree, eps_steps: int) -> float:
@@ -419,17 +408,9 @@ def martingale_defect(tree: FilteredTree) -> float:
     zero iff the tree is a martingale; vector values take the worst
     coordinate."""
     check_valid(tree)
-    n = tree.n_levels
-    term = [None] * n
-    term[n - 1] = tree.level_values[n - 1].copy()
-    for i in range(n - 2, -1, -1):
-        out = np.zeros_like(tree.level_values[i])
-        for v in range(len(tree.levels[i])):
-            for c in tree.children[i][v]:
-                out[v] += tree.levels[i + 1][c].prob * term[i + 1][c]
-        term[i] = out
+    term = tree.terminal_prediction()
     worst = 0.0
-    for i in range(n - 1):
+    for i in range(tree.n_levels - 1):
         gap = np.abs(term[i] - tree.level_values[i])          # (nodes, dim)
         per_coord = tree.node_probs[i] @ gap                  # (dim,)
         worst = max(worst, float(per_coord.max()))

@@ -4,6 +4,15 @@ A filtered process is stored as a tree whose level-i nodes are the atoms of
 the time-t_i information; node values make the process adapted by
 construction.  Level 0 is the root time t0 = 0 (not a grid point) and may
 carry several atoms, i.e. a nontrivial initial sigma-algebra.
+
+The stored form is a tuple of `Node` tuples per level: it is what the JSON
+interchange writes and what tree equality compares.  The level arrays are
+derived from it once and cached: `parents` (int, with level 0 hanging from
+one virtual root) and `probs` (transition probabilities), and from those
+`node_probs`, `ancestors`, `level_values`, `leaf_probs` and `leaf_paths`.
+Every backward expectation E[. | F_t] goes through `children_sum`, which
+adds prob * x over the children in child-index order, the same order as a
+loop over `children`, so its sums are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -153,13 +162,26 @@ class FilteredTree:
         return out
 
     @cached_property
+    def parents(self):
+        """Per level, int array of parent indices; the level-0 nodes hang
+        from one virtual root with index 0."""
+        out = [np.zeros(len(self.levels[0]), dtype=np.intp)]
+        out += [np.array([nd.parent for nd in lv], dtype=np.intp)
+                for lv in self.levels[1:]]
+        return out
+
+    @cached_property
+    def probs(self):
+        """Per level, float array of transition probabilities from the parent
+        (absolute probabilities at level 0)."""
+        return [np.array([nd.prob for nd in lv], dtype=float) for lv in self.levels]
+
+    @cached_property
     def node_probs(self):
         """Absolute probability of each node, per level."""
-        out = [np.array([nd.prob for nd in self.levels[0]], dtype=float)]
+        out = [self.probs[0]]
         for i in range(1, self.n_levels):
-            prev = out[-1]
-            out.append(np.array(
-                [prev[nd.parent] * nd.prob for nd in self.levels[i]], dtype=float))
+            out.append(out[-1][self.parents[i]] * self.probs[i])
         return out
 
     @cached_property
@@ -175,8 +197,7 @@ class FilteredTree:
         anc = np.empty((n, self.n_leaves), dtype=int)
         anc[n - 1] = np.arange(self.n_leaves)
         for i in range(n - 2, -1, -1):
-            parents = np.array([nd.parent for nd in self.levels[i + 1]], dtype=int)
-            anc[i] = parents[anc[i + 1]]
+            anc[i] = self.parents[i + 1][anc[i + 1]]
         return anc
 
     @cached_property
@@ -194,6 +215,30 @@ class FilteredTree:
     def leaves_under(self, level: int, node: int) -> np.ndarray:
         return np.nonzero(self.ancestors[level] == node)[0]
 
+    def children_sum(self, level: int, x: np.ndarray) -> np.ndarray:
+        """The backward step E[x | F_level]: for each node at `level`, the
+        sum over its children c of prob[c] * x[c], added in child-index order
+        (the order of a loop over `children`, so results match it bit for
+        bit).  `x` holds one value, or one row of values, per node at
+        level + 1.  level = -1 sums level 0 into the virtual root and returns
+        one entry."""
+        idx, w = self.parents[level + 1], self.probs[level + 1]
+        size = 1 if level < 0 else len(self.levels[level])
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return np.bincount(idx, w * x, minlength=size)
+        return np.stack([np.bincount(idx, w * col, minlength=size) for col in x.T],
+                        axis=1)
+
+    def terminal_prediction(self) -> list:
+        """Per level, E[X_1 | F_t] at each node, shape (n_nodes, dim)."""
+        n = self.n_levels
+        out = [None] * n
+        out[n - 1] = self.level_values[n - 1]
+        for i in range(n - 2, -1, -1):
+            out[i] = self.children_sum(i, out[i + 1])
+        return out
+
     # -- convenience -----------------------------------------------------
 
     def level_time(self, i: int) -> float:
@@ -207,27 +252,6 @@ class FilteredTree:
         p = self.leaf_paths
         d = np.linalg.norm(p[:, :, None, :] - p[:, None, :, :], axis=-1)
         return float(d.max()) if d.size else 0.0
-
-    def prune_zero(self, tol: float = PROB_TOL) -> "FilteredTree":
-        """Drop zero-probability branches (and their descendants)."""
-        keep = [np.array([nd.prob > tol for nd in self.levels[0]])]
-        for i in range(1, self.n_levels):
-            prev = keep[-1]
-            keep.append(np.array([nd.prob > tol and prev[nd.parent]
-                                  for nd in self.levels[i]]))
-        new_levels = []
-        remap_prev = None
-        for i, lv in enumerate(self.levels):
-            idx = np.nonzero(keep[i])[0]
-            remap = {int(old): new for new, old in enumerate(idx)}
-            nodes = []
-            for old in idx:
-                nd = lv[old]
-                parent = None if nd.parent is None else remap_prev[nd.parent]
-                nodes.append(Node(parent, nd.prob, nd.value))
-            new_levels.append(tuple(nodes))
-            remap_prev = remap
-        return FilteredTree(self.grid, tuple(new_levels), self.dim)
 
 
 def validate(tree: FilteredTree) -> list:

@@ -188,3 +188,11 @@ def test_exit_code_p_below_one(capsys):
                            "--ladder", "0.1", "--p", "0.5")
     assert code == 2
     assert "p must be" in err
+
+
+def test_dist_rejects_tolerance(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dist", "--left", "fig1:P", "--right", "fig1:P",
+              "--tolerance", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err

@@ -98,6 +98,28 @@ def test_two_atom_unbalanced_is_infeasible():
     assert res.status == "infeasible"
 
 
+@pytest.mark.parametrize("p, q, extra_rows, extra_rhs", [
+    ([1.0], [0.3, 0.3], None, None),                # unbalanced
+    ([1.0], [1.5, -0.5], None, None),               # negative forced plan
+    ([1.0], [0.5, 0.5], [[1.0, 0.0]], [0.9]),       # extra row violated
+])
+def test_one_atom_bad_input_is_infeasible(p, q, extra_rows, extra_rhs):
+    res = transport_lp(np.array(p), np.array(q), np.zeros((1, 2)),
+                       extra_rows, extra_rhs)
+    assert res.status == "infeasible"
+
+
+def test_one_atom_plan_is_the_other_side():
+    res = transport_lp(np.array([0.5]), np.array([0.25, 0.25]),
+                       np.array([[1.0, 3.0]]))
+    assert res.status == "optimal"
+    assert res.x.tolist() == [0.25, 0.25]
+    assert res.value == 1.0
+    col = transport_lp(np.array([0.25, 0.25]), np.array([0.5]),
+                       np.array([[1.0], [3.0]]))
+    assert col.x.tolist() == [0.25, 0.25]
+
+
 def test_infeasible_detected():
     # x1 = 1 and x1 = 2 simultaneously
     lp = LinearProgram(np.array([1.0]), np.array([[1.0], [1.0]]),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from adapted_ot import (FilteredTree, Node, TimeGrid, coarsen_filtration,
-                        discretize_path, law, random_tree, regrid,
+                        counterexample_pair, discretize_path, law,
+                        random_tree, regrid,
                         standard_tree, tree_from_json, tree_isomorphic,
                         tree_to_json, validate)
 from adapted_ot.solvers import aw
@@ -222,3 +223,38 @@ def test_validate_non_finite_value(fig1, value):
     assert validate(bad) == ["non-finite value at level 2 node 0"]
     with pytest.raises(ValueError, match="non-finite value"):
         aw(bad, pe)
+
+
+def _trees_for_children_sum(rng):
+    trees = [random_tree(rng, max_steps=4, dim=2, root_atoms=3) for _ in range(8)]
+    return trees + list(counterexample_pair(2, 4))  # single-child levels
+
+
+def test_children_sum_matches_children_loop(rng):
+    for tree in _trees_for_children_sum(rng):
+        for i in range(tree.n_levels - 1):
+            kids = tree.levels[i + 1]
+            for shape in ((len(kids),), (len(kids), tree.dim)):
+                x = rng.normal(size=shape)
+                want = np.zeros((len(tree.levels[i]),) + shape[1:])
+                for v, cs in enumerate(tree.children[i]):
+                    for c in cs:
+                        want[v] += kids[c].prob * x[c]
+                assert np.array_equal(tree.children_sum(i, x), want)
+        x = rng.normal(size=len(tree.levels[0]))
+        root = sum(nd.prob * x[j] for j, nd in enumerate(tree.levels[0]))
+        assert tree.children_sum(-1, x).tolist() == [root]
+
+
+def test_node_probs_and_ancestors_match_node_loops(rng):
+    for tree in _trees_for_children_sum(rng):
+        probs = [np.array([nd.prob for nd in tree.levels[0]])]
+        for lv in tree.levels[1:]:
+            probs.append(np.array([probs[-1][nd.parent] * nd.prob for nd in lv]))
+        for got, want in zip(tree.node_probs, probs):
+            assert np.array_equal(got, want)
+        for k in range(tree.n_leaves):
+            j = k
+            for i in range(tree.n_levels - 1, -1, -1):
+                assert tree.ancestors[i][k] == j
+                j = tree.levels[i][j].parent
