@@ -10,9 +10,9 @@ from .prediction import (hk_minimize, is_naturally_filtered, natural_tree,
                          prediction_process, rank1_conditional_laws,
                          stable_labels)
 from .coupling import (Coupling, EpsShift, ZERO_SHIFT, X_TO_Y, Y_TO_X,
-                       causality_constraints, constraint_triplets, glue,
-                       identity_coupling, is_eps_bicausal, is_eps_causal,
-                       path_cost_matrix, product_coupling, transport_cost)
+                       causality_constraints, glue, identity_coupling,
+                       is_eps_bicausal, is_eps_causal, path_cost_matrix,
+                       product_coupling, transport_cost)
 from .lp import LinearProgram, LPError, LPResult, lp_solve, transport_lp
 from .solvers import (DistanceReport, aw, cw, eps_bicausal_lp, hellwig,
                       nested_bicausal, scw, strict_scw, wasserstein)

@@ -139,12 +139,6 @@ def causality_constraints(x: FilteredTree, y: FilteredTree, eps_steps: int,
     return np.array(rows)
 
 
-def constraint_triplets(rows: np.ndarray):
-    """Sparse (row, cell, coeff) triplets of a constraint block, for export."""
-    r, c = np.nonzero(np.abs(rows) > 0)
-    return [(int(i), int(j), float(rows[i, j])) for i, j in zip(r, c)]
-
-
 def is_eps_causal(pi: Coupling, eps: EpsShift, direction: str = X_TO_Y,
                   tol: float = CAUSAL_TOL):
     """(holds, max violation) of all eps-causality rows in one direction."""

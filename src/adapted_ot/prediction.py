@@ -1,29 +1,40 @@
 """Prediction processes, Hoover-Keisler minimization, natural filtrations.
 
-On a finite tree the rank-1 prediction process at a node is the conditional
-path law given that atom; higher ranks condition the label path of the rank
-below.  Labels stabilize after at most depth+1 iterations, and the stable
-partition drives a bisimulation-style quotient.
+All three rest on one operation, `_law_labels`: given one integer id per
+leaf, label every node by the conditional law of that id given the node's
+atom.  The rank-1 prediction process takes as leaf id the value path; rank
+k+1 takes the path of rank-k labels along the leaf's ancestry.  The law at a
+node fixes the node's own lower-rank label, so each rank refines the
+partition of the rank below and the labels stabilize after at most depth+1
+steps; the stable partition drives a bisimulation-style quotient.
+
+Two conditional laws count as equal when they give the same ids the same
+weights after both are rounded by `trees._rounded` (12 decimals, -0.0
+folded into 0.0); values are compared under the same rule.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .trees import (FilteredTree, Node, check_valid, law, standard_tree,
-                    _round_key)
+                    _rounded)
 
 
-def _conditional_law_key(weights, items):
-    """Canonical key of a finitely supported law: merge duplicate support
-    points (weights rounded to 1e-12) and sort."""
-    buckets = {}
-    for w, it in zip(weights, items):
-        if it in buckets:
-            buckets[it] += float(w)
-        else:
-            buckets[it] = float(w)
-    return tuple(sorted((k, round(w, 12)) for k, w in buckets.items()))
+def _unique_rows(rows: np.ndarray):
+    """(first, ids): the index of the first occurrence of each distinct row
+    of `rows` (leading axis), distinct rows in lexicographic order, and for
+    every row the position of its distinct row in that order."""
+    rows = rows.reshape(len(rows), -1)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return order[new], ids
 
 
 def rank1_conditional_laws(tree: FilteredTree):
@@ -33,57 +44,45 @@ def rank1_conditional_laws(tree: FilteredTree):
     lp = tree.leaf_probs
     for i in range(tree.n_levels):
         anc = tree.ancestors[i]
+        bounds = np.cumsum(np.bincount(anc, minlength=len(tree.levels[i])))[:-1]
         per_node = []
-        for v in range(len(tree.levels[i])):
-            leaves = np.nonzero(anc == v)[0]
+        for leaves in np.split(np.argsort(anc, kind="stable"), bounds):
             w = lp[leaves]
             per_node.append((w / w.sum(), leaves))
         out.append(per_node)
     return out
 
 
-def _labels_rank1(tree: FilteredTree):
-    path_keys = [_round_key(tree.leaf_paths[k]) for k in range(tree.n_leaves)]
+def _law_labels(tree: FilteredTree, leaf_ids: np.ndarray):
+    """Per level, per node: an integer label of the conditional law of
+    `leaf_ids` given that atom.  One numbering, in first-seen order over
+    levels and nodes, serves all levels."""
+    lp = tree.leaf_probs
     table = {}
     labels = []
-    for per_node in rank1_conditional_laws(tree):
-        lv = []
-        for w, leaves in per_node:
-            key = _conditional_law_key(w, [path_keys[k] for k in leaves])
-            lv.append(table.setdefault(key, len(table)))
-        labels.append(lv)
+    for i in range(tree.n_levels):
+        anc = tree.ancestors[i]
+        # leaves grouped by (atom, id), sorted by atom and then by id
+        first, of_leaf = _unique_rows(np.stack([anc, leaf_ids], axis=1))
+        node = anc[first]
+        # both sums add in leaf order, so a Dirac law gets weight exactly 1
+        weights = _rounded(np.bincount(of_leaf, lp) / np.bincount(anc, lp)[node])
+        keys = np.stack([leaf_ids[first], weights.view(np.int64)], axis=1).tobytes()
+        ends = [0] + (16 * np.cumsum(np.bincount(node))).tolist()
+        labels.append([table.setdefault(keys[s:e], len(table))
+                       for s, e in zip(ends, ends[1:])])
     return labels
 
 
-def _labels_next(tree: FilteredTree, labels):
-    """One conditioning step: label at v becomes the conditional law of the
-    whole label path given the atom v."""
-    lp = tree.leaf_probs
-    label_paths = [tuple(labels[i][tree.ancestors[i][k]] for i in range(tree.n_levels))
-                   for k in range(tree.n_leaves)]
-    table = {}
-    out = []
-    for i in range(tree.n_levels):
-        anc = tree.ancestors[i]
-        lv = []
-        for v in range(len(tree.levels[i])):
-            leaves = np.nonzero(anc == v)[0]
-            w = lp[leaves]
-            key = _conditional_law_key(w / w.sum(), [label_paths[k] for k in leaves])
-            lv.append(table.setdefault(key, len(table)))
-        out.append(lv)
-    return out
-
-
-def _partition_signature(labels):
-    """Per-level grouping of node indices by label, order-independent."""
-    sig = []
-    for lv in labels:
-        groups = {}
-        for idx, lab in enumerate(lv):
-            groups.setdefault(lab, []).append(idx)
-        sig.append(tuple(sorted(tuple(g) for g in groups.values())))
-    return tuple(sig)
+def _ranked_labels(tree: FilteredTree):
+    """Prediction labels of rank 1, 2, ...: rank 1 labels the conditional
+    law of the value path, rank k+1 that of the rank-k label path."""
+    ids = _unique_rows(_rounded(tree.leaf_paths))[1]
+    while True:
+        labels = _law_labels(tree, ids)
+        yield labels
+        ids = _unique_rows(np.stack([np.asarray(lv)[tree.ancestors[i]]
+                                     for i, lv in enumerate(labels)], axis=1))[1]
 
 
 def prediction_process(tree: FilteredTree, rank: int = 1):
@@ -92,10 +91,7 @@ def prediction_process(tree: FilteredTree, rank: int = 1):
     check_valid(tree)
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    labels = _labels_rank1(tree)
-    for _ in range(rank - 1):
-        labels = _labels_next(tree, labels)
-    return labels
+    return next(itertools.islice(_ranked_labels(tree), rank - 1, None))
 
 
 def stable_labels(tree: FilteredTree):
@@ -105,18 +101,16 @@ def stable_labels(tree: FilteredTree):
     iterations because each step refines the partition or fixes it.
     """
     check_valid(tree)
-    labels = _labels_rank1(tree)
-    sig = _partition_signature(labels)
-    rank = 1
-    while True:
-        nxt = _labels_next(tree, labels)
-        nsig = _partition_signature(nxt)
-        if nsig == sig:
+    ranks = _ranked_labels(tree)
+    labels = next(ranks)
+    for rank in range(1, tree.n_levels + 2):
+        nxt = next(ranks)
+        # rank+1 refines rank on every level, so equal class counts per
+        # level mean equal partitions
+        if [len(set(lv)) for lv in nxt] == [len(set(lv)) for lv in labels]:
             return labels, rank
-        labels, sig = nxt, nsig
-        rank += 1
-        if rank > tree.n_levels + 1:
-            raise RuntimeError("prediction labels failed to stabilize")
+        labels = nxt
+    raise RuntimeError("prediction labels failed to stabilize")
 
 
 def hk_minimize(tree: FilteredTree) -> FilteredTree:
@@ -128,46 +122,25 @@ def hk_minimize(tree: FilteredTree) -> FilteredTree:
     The path law is untouched and the adapted distance to the input is 0.
     """
     labels, _ = stable_labels(tree)
-    probs = tree.node_probs
-
     new_levels = []
-    # groups at the previous level: list of lists of original node indices
-    root_groups = {}
-    order = []
-    for j in range(len(tree.levels[0])):
-        k = labels[0][j]
-        if k not in root_groups:
-            root_groups[k] = []
-            order.append(k)
-        root_groups[k].append(j)
-    prev_groups = [root_groups[k] for k in order]
-    new_levels.append(tuple(
-        Node(None, float(sum(tree.levels[0][j].prob for j in g)),
-             tree.levels[0][g[0]].value)
-        for g in prev_groups))
-
-    for i in range(1, tree.n_levels):
-        groups = []
-        nodes = []
-        for parent_new, g in enumerate(prev_groups):
-            parent_mass = sum(probs[i - 1][j] for j in g)
-            sub = {}
-            sub_order = []
-            for j in g:
-                for c in tree.children[i - 1][j]:
-                    k = labels[i][c]
-                    if k not in sub:
-                        sub[k] = []
-                        sub_order.append(k)
-                    sub[k].append(c)
-            for k in sub_order:
-                members = sub[k]
-                mass = sum(probs[i][c] for c in members)
-                nodes.append(Node(parent_new, float(mass / parent_mass),
-                                  tree.levels[i][members[0]].value))
-                groups.append(members)
-        new_levels.append(tuple(nodes))
-        prev_groups = groups
+    new_of = np.zeros(1, dtype=np.intp)  # the virtual root
+    parent_mass = np.ones(1)
+    for i in range(tree.n_levels):
+        up = new_of[tree.parents[i]]
+        first, group = _unique_rows(np.stack([up, labels[i]], axis=1))
+        # number the (new parent, label) groups as first seen when the nodes
+        # are visited by new parent, and by index within one new parent
+        seen = np.lexsort((first, up[first]))
+        number = np.empty(len(first), dtype=np.intp)
+        number[seen] = np.arange(len(first))
+        new_of = number[group]
+        mass = np.bincount(new_of, tree.node_probs[i])
+        reps = first[seen]
+        new_levels.append(tuple(
+            Node(None if i == 0 else int(up[r]),
+                 float(mass[n] / parent_mass[up[r]]), tree.levels[i][r].value)
+            for n, r in enumerate(reps.tolist())))
+        parent_mass = mass
     return FilteredTree(tree.grid, tuple(new_levels), tree.dim)
 
 
@@ -175,24 +148,15 @@ def is_naturally_filtered(tree: FilteredTree) -> bool:
     """True iff the filtration reveals nothing beyond the path history:
     nodes with identical realized value histories share their rank-1 label."""
     labels = prediction_process(tree, 1)
+    history = np.zeros(tree.n_leaves, dtype=np.intp)
     for i in range(tree.n_levels):
-        hist = {}
-        for v in range(len(tree.levels[i])):
-            # value history along the ancestry of node v
-            path = []
-            k, lev = v, i
-            while lev >= 0:
-                path.append(tree.levels[lev][k].value)
-                k = tree.levels[lev][k].parent
-                lev -= 1
-                if k is None:
-                    break
-            key = _round_key(np.array(path[::-1]))
-            if key in hist:
-                if hist[key] != labels[i][v]:
-                    return False
-            else:
-                hist[key] = labels[i][v]
+        anc = tree.ancestors[i]
+        value_ids = _unique_rows(_rounded(tree.level_values[i]))[1][anc]
+        history = _unique_rows(np.stack([history, value_ids], axis=1))[1]
+        # natural iff there are no more (history, label) pairs than histories
+        pairs = np.stack([history, np.asarray(labels[i])[anc]], axis=1)
+        if _unique_rows(pairs)[1].max() != history.max():
+            return False
     return True
 
 

@@ -370,17 +370,22 @@ def scw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
         penalty: Optional[Callable[[float], float]] = None,
         witness: bool = True, cell_cap: int = DEFAULT_CELL_CAP,
         metric: str = "sup") -> DistanceReport:
-    """Symmetrized causal distance: max of the two directed causal distances."""
+    """Symmetrized causal distance: max of the two directed causal distances.
+    A backward witness is transposed, so the coupling runs from x to y."""
+    t0 = time.perf_counter()
     fwd = cw(x, y, p, penalty, witness, cell_cap, metric)
     bwd = cw(y, x, p, penalty, witness, cell_cap, metric)
     top = fwd if fwd.value >= bwd.value else bwd
-    rep = DistanceReport("SCW", p, top.value, top.eps_steps, top.epsilon_time,
-                         top.coupling if top is fwd else None,
-                         {"forward": fwd.value, "backward": bwd.value,
-                          "lp_iterations": fwd.diagnostics["lp_iterations"]
-                          + bwd.diagnostics["lp_iterations"]},
-                         metric=metric)
-    return rep
+    cpl = top.coupling
+    if top is bwd and cpl is not None:
+        cpl = Coupling(cpl.right, cpl.left, cpl.weights.T)
+    return DistanceReport("SCW", p, top.value, top.eps_steps, top.epsilon_time,
+                          cpl,
+                          {"forward": fwd.value, "backward": bwd.value,
+                           "lp_iterations": fwd.diagnostics["lp_iterations"]
+                           + bwd.diagnostics["lp_iterations"],
+                           "runtime_s": time.perf_counter() - t0},
+                          metric=metric)
 
 
 def strict_scw(x: FilteredTree, y: FilteredTree, p: float = 1.0,

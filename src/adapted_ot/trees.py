@@ -26,13 +26,18 @@ import numpy as np
 
 PROB_TOL = 1e-12
 TIME_TOL = 1e-12
+EQUAL_DECIMALS = 12
 
 
-def _round_key(x, decimals: int = 12):
+def _rounded(x, decimals: int = EQUAL_DECIMALS) -> np.ndarray:
+    """The rule by which two computed reals count as equal: round to
+    `decimals` places and fold -0.0 into +0.0."""
+    return np.round(np.asarray(x, dtype=float), decimals) + 0.0
+
+
+def _round_key(x, decimals: int = EQUAL_DECIMALS):
     """Hashable key for floats/arrays, rounded so that 1e-12-close reals collide."""
-    a = np.asarray(x, dtype=float)
-    r = np.round(a, decimals)
-    r = r + 0.0  # fold -0.0 into +0.0
+    r = _rounded(x, decimals)
     if r.ndim == 0:
         return float(r)
     return r.tobytes()

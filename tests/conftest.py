@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adapted_ot import FilteredTree, Node, TimeGrid, figure1_pair
+from adapted_ot import FilteredTree, Node, TimeGrid, figure1_pair, random_tree
 
 
 @pytest.fixture
@@ -32,3 +32,13 @@ def deterministic_tree(values=(0.0, 0.3, 1.0)):
     for v in values[1:]:
         levels.append((Node(0, 1.0, (v,)),))
     return FilteredTree(g, tuple(levels), 1)
+
+
+def coarse_tree(rng, **kwargs):
+    """`random_tree` with every value rounded to -1, 0 or 1, so that sibling
+    atoms with equal conditional laws and filtrations richer than the path
+    history are common."""
+    t = random_tree(rng, **kwargs)
+    return FilteredTree(t.grid, tuple(
+        tuple(Node(nd.parent, nd.prob, tuple(np.rint(nd.value) + 0.0)) for nd in lv)
+        for lv in t.levels), t.dim)

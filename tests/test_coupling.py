@@ -6,7 +6,7 @@ from adapted_ot import (Coupling, EpsShift, ZERO_SHIFT, X_TO_Y, Y_TO_X,
                         is_eps_bicausal, is_eps_causal, natural_tree,
                         is_naturally_filtered, product_coupling, random_tree,
                         transport_cost, eps_bicausal_lp)
-from conftest import deterministic_tree
+from conftest import coarse_tree, deterministic_tree
 
 
 def comonotone_fig1(fig1):
@@ -183,17 +183,6 @@ def test_constraints_empty_for_deterministic_pair():
         assert causality_constraints(a, b, 0, d).shape[0] == 0
 
 
-def test_constraint_triplets_roundtrip(fig1):
-    from adapted_ot import constraint_triplets
-    p, pe = fig1
-    rows = causality_constraints(p, pe, 0, X_TO_Y, drop_redundant=False)
-    trip = constraint_triplets(rows)
-    rebuilt = np.zeros_like(rows)
-    for i, j, v in trip:
-        rebuilt[i, j] = v
-    assert np.array_equal(rebuilt, rows)
-
-
 def test_coupling_json(fig1):
     p, pe = fig1
     pi = product_coupling(p, pe)
@@ -217,8 +206,9 @@ def test_identity_on_paths_coupling_with_natural_tree(rng):
     # the identity-on-paths coupling with the standard naturally filtered
     # tree is causal toward it; the reverse holds iff already natural
     from adapted_ot.trees import _round_key
-    for _ in range(30):
-        y = random_tree(rng, root_atoms=int(rng.integers(1, 3)))
+    trees = [random_tree(rng, root_atoms=int(rng.integers(1, 3))) for _ in range(30)]
+    trees += [coarse_tree(rng, root_atoms=int(rng.integers(1, 3))) for _ in range(30)]
+    for y in trees:
         s = natural_tree(y)
         # couple each y-leaf with the s-leaf carrying the same path
         key_to_s = {_round_key(s.leaf_paths[j]): j for j in range(s.n_leaves)}

@@ -7,7 +7,7 @@ from adapted_ot import (FilteredTree, Node, TimeGrid, hk_minimize,
                         tree_isomorphic, validate)
 from adapted_ot.prediction import rank1_conditional_laws
 
-from conftest import deterministic_tree
+from conftest import coarse_tree, deterministic_tree
 
 
 def split_middle_tree():
@@ -18,6 +18,19 @@ def split_middle_tree():
         (Node(None, 1.0, (1.0,)),),
         (Node(0, 0.5, (1.0,)), Node(0, 0.5, (1.0,))),
         (Node(0, 1.0, (2.0,)), Node(1, 1.0, (0.0,))),
+    ))
+
+
+def early_reveal_tree():
+    """Level-1 siblings A and B with the same conditional path law; A splits
+    into the two terminal branches one level before B does."""
+    g = TimeGrid((1 / 3, 2 / 3, 1.0))
+    return FilteredTree(g, (
+        (Node(None, 1.0, (0.0,)),),
+        (Node(0, 0.5, (1.0,)), Node(0, 0.5, (1.0,))),
+        (Node(0, 0.5, (1.0,)), Node(0, 0.5, (1.0,)), Node(1, 1.0, (1.0,))),
+        (Node(0, 1.0, (2.0,)), Node(1, 1.0, (0.0,)),
+         Node(2, 0.5, (2.0,)), Node(2, 0.5, (0.0,))),
     ))
 
 
@@ -43,6 +56,35 @@ def test_rank1_label_fig1_middle(fig1):
     cls = rank1_conditional_laws(pe)[1]
     assert len(cls[0][0]) == 1 and cls[0][0][0] == pytest.approx(1.0)
     assert labels_pe[1][0] != labels_pe[1][1]
+
+
+def law_keys(tree, leaf_items):
+    """Oracle: per node of every level, the conditional law of the per-leaf
+    items given that atom, built by a loop over the atom's leaves."""
+    keys = []
+    for i in range(tree.n_levels):
+        for v in range(len(tree.levels[i])):
+            law_v = {}
+            for k in tree.leaves_under(i, v):
+                law_v[leaf_items[k]] = law_v.get(leaf_items[k], 0.0) + tree.leaf_probs[k]
+            mass = sum(law_v.values())
+            keys.append(tuple(sorted((it, round(w / mass, 12)) for it, w in law_v.items())))
+    return keys
+
+
+def test_labels_match_conditional_law_oracle(rng):
+    # equal labels, on one level or across levels, iff equal conditional laws
+    trees = [random_tree(rng, root_atoms=2) for _ in range(10)]
+    trees += [coarse_tree(rng, root_atoms=2) for _ in range(20)]
+    for t in trees:
+        items = [tuple(np.round(p, 12).ravel()) for p in t.leaf_paths]
+        for rank in (1, 2, 3):
+            labels = prediction_process(t, rank)
+            flat = [lab for lv in labels for lab in lv]
+            keys = law_keys(t, items)
+            assert len(set(flat)) == len(set(keys)) == len(set(zip(flat, keys)))
+            items = [tuple(labels[i][t.ancestors[i][k]] for i in range(t.n_levels))
+                     for k in range(t.n_leaves)]
 
 
 def test_deterministic_tree_all_dirac():
@@ -94,9 +136,19 @@ def test_hk_minimize_collapses_coin_layer():
     assert np.allclose(la.paths, lb.paths, atol=1e-12)
 
 
+def test_rank2_separates_early_revelation():
+    t = early_reveal_tree()
+    rank1, rank2 = prediction_process(t, 1), prediction_process(t, 2)
+    assert rank1[1][0] == rank1[1][1]
+    assert rank2[1][0] != rank2[1][1]
+    assert [len(lv) for lv in hk_minimize(t).levels] == [1, 2, 3, 4]
+    assert not is_naturally_filtered(t)
+
+
 def test_hk_minimize_preserves_law(rng):
-    for _ in range(50):
-        t = random_tree(rng, root_atoms=int(rng.integers(1, 3)))
+    trees = [random_tree(rng, root_atoms=int(rng.integers(1, 3))) for _ in range(50)]
+    trees += [coarse_tree(rng, root_atoms=int(rng.integers(1, 3))) for _ in range(50)]
+    for t in trees:
         m = hk_minimize(t)
         assert validate(m) == []
         la, lb = law(t), law(m)

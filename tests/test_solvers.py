@@ -190,6 +190,19 @@ def test_cw_asymmetry_fig1(fig1):
     assert scw(p, pe).value == pytest.approx(0.6, abs=1e-10)
 
 
+def test_scw_keeps_backward_witness(fig1):
+    # on (pe, p) the backward direction is the larger one; its witness is
+    # returned transposed, from pe to p
+    p, pe = fig1
+    rep = scw(pe, p)
+    assert rep.diagnostics["backward"] > rep.diagnostics["forward"]
+    assert rep.coupling is not None
+    assert rep.coupling.left.levels == pe.levels
+    assert rep.verify_witness()
+    assert rep.value == scw(p, pe).value
+    assert "runtime_s" in rep.diagnostics
+
+
 def test_strict_scw(rng, fig1):
     p, pe = fig1
     assert strict_scw(p, p).value == pytest.approx(0.0, abs=1e-12)
