@@ -126,22 +126,20 @@ _DIST_FNS = {
 def cmd_dist(args) -> int:
     x = load_tree(args.left)
     y = load_tree(args.right)
-    try:
-        if args.kind == "aw_eps":
-            rep = eps_bicausal_lp(x, y, args.eps_steps, args.p)
-        else:
-            rep = _DIST_FNS[args.kind](x, y, args.p)
-    except LPError as exc:
-        raise CliError(f"solver failure: {exc}", EXIT_SOLVER) from exc
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
+    if args.kind == "aw_eps":
+        rep = eps_bicausal_lp(x, y, args.eps_steps, args.p)
+    else:
+        rep = _DIST_FNS[args.kind](x, y, args.p)
     print(json.dumps(rep.to_json_dict(include_witness=args.emit_witness)))
     return EXIT_OK
 
 
 def cmd_os(args) -> int:
     tree = load_tree(args.tree)
-    phi = cost_by_name(args.phi)
+    try:
+        phi = cost_by_name(args.phi)
+    except ValueError as exc:
+        raise CliError(f"bad --phi: {exc}", EXIT_IO) from exc
     res = snell_os(tree, phi, variant=args.variant)
     out = {
         "value": res.value,
@@ -168,17 +166,16 @@ def _csv_cell(v):
     return str(v)
 
 
-def _int_ladder(text):
-    return [int(v) for v in text.split(",")]
-
-
-def _float_ladder(text):
-    return [float(v) for v in text.split(",")]
+def _ladder(text, kind):
+    """A non-empty comma-separated list of `kind` values."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise CliError(f"bad ladder {text!r}: {exc}", EXIT_IO) from exc
 
 
 def cmd_donsker(args) -> int:
-    rec = donsker_table(_int_ladder(args.n_ladder),
-                        _float_ladder(args.eps_ladder),
+    rec = donsker_table(_ladder(args.n_ladder, int), _ladder(args.eps_ladder, float),
                         args.samples, args.seed,
                         oversample=args.oversample, threads=args.threads)
     _emit_csv(("n", "eps", "estimate", "stderr"), rec.outputs["rows"],
@@ -194,7 +191,7 @@ def cmd_euler(args) -> int:
         sigma = parse_coefficient(args.sigma)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_IO) from exc
-    rec = euler_table(mu, sigma, args.x0, _int_ladder(args.n_ladder),
+    rec = euler_table(mu, sigma, args.x0, _ladder(args.n_ladder, int),
                       args.samples, args.seed, fine_factor=args.fine_factor,
                       threads=args.threads)
     _emit_csv(("n", "estimate", "stderr"), rec.outputs["rows"],
@@ -204,12 +201,8 @@ def cmd_euler(args) -> int:
 
 
 def cmd_topology_table(args) -> int:
-    ladder = [float(v) if args.family in ("fig1", "tcbm") else int(v)
-              for v in args.ladder.split(",")]
-    try:
-        rec = topology_table(args.family, ladder, p=args.p, threads=args.threads)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_VALIDATION) from exc
+    ladder = _ladder(args.ladder, float if args.family in ("fig1", "tcbm") else int)
+    rec = topology_table(args.family, ladder, p=args.p, threads=args.threads)
     rows = rec.outputs["rows"]
     cols = ["param"] + list(rows[0][1].keys())
     flat = [[param] + list(row.values()) for param, row in rows]
@@ -283,6 +276,9 @@ def main(argv=None) -> int:
     except LPError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except ValueError as exc:  # the library's error for a bad parameter
+        print(str(exc), file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -344,6 +344,8 @@ _MC_BATCH = 512
 
 
 def _batch_seeds(seed: int, samples: int, batch: int = _MC_BATCH):
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     out = []
     done = 0
     i = 0
@@ -477,8 +479,8 @@ def euler_pair_cost(mu, sigma, x0: float, n: int, samples: int, seed: int,
     """E sup_t |X_t - X^n_t| for the coarse Euler scheme driven by the same
     Brownian increments as the fine reference (the identity coupling, which
     is 1/n-bicausal when sigma is bounded away from zero)."""
-    if fine_factor < 1:
-        raise ValueError("fine_factor must be >= 1")
+    if n < 1 or fine_factor < 1:
+        raise ValueError("n and fine_factor must be >= 1")
     nf = n * fine_factor
     dtf = 1.0 / nf
     sq = math.sqrt(dtf)

@@ -20,21 +20,7 @@ import itertools
 import numpy as np
 
 from .trees import (FilteredTree, Node, check_valid, law, standard_tree,
-                    _rounded)
-
-
-def _unique_rows(rows: np.ndarray):
-    """(first, ids): the index of the first occurrence of each distinct row
-    of `rows` (leading axis), distinct rows in lexicographic order, and for
-    every row the position of its distinct row in that order."""
-    rows = rows.reshape(len(rows), -1)
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ids = np.empty(len(rows), dtype=np.intp)
-    ids[order] = np.cumsum(new) - 1
-    return order[new], ids
+                    _history_ids, _rounded, _unique_rows)
 
 
 def rank1_conditional_laws(tree: FilteredTree):
@@ -148,13 +134,9 @@ def is_naturally_filtered(tree: FilteredTree) -> bool:
     """True iff the filtration reveals nothing beyond the path history:
     nodes with identical realized value histories share their rank-1 label."""
     labels = prediction_process(tree, 1)
-    history = np.zeros(tree.n_leaves, dtype=np.intp)
-    for i in range(tree.n_levels):
-        anc = tree.ancestors[i]
-        value_ids = _unique_rows(_rounded(tree.level_values[i]))[1][anc]
-        history = _unique_rows(np.stack([history, value_ids], axis=1))[1]
+    for i, (_, history) in enumerate(_history_ids(tree.leaf_paths)):
         # natural iff there are no more (history, label) pairs than histories
-        pairs = np.stack([history, np.asarray(labels[i])[anc]], axis=1)
+        pairs = np.stack([history, np.asarray(labels[i])[tree.ancestors[i]]], axis=1)
         if _unique_rows(pairs)[1].max() != history.max():
             return False
     return True

@@ -23,7 +23,7 @@ from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _path_distances,
                        path_cost_matrix)
 from .lp import LPError, transport_lp
 from .prediction import rank1_conditional_laws
-from .trees import FilteredTree, align, check_valid, law
+from .trees import FilteredTree, align, check_valid, law, _path_ids
 
 DEFAULT_CELL_CAP = 40_000
 DEFAULT_STATE_CAP = 2_000_000
@@ -51,10 +51,13 @@ class DistanceReport:
         if abs(cost - target) > tol:
             return False
         eps = EpsShift(self.eps_steps or 0,  self.epsilon_time)
-        if self.kind in ("AW", "AW_strict"):
+        if self.kind in ("AW", "AW_strict", "AW_eps"):
             return is_eps_bicausal(self.coupling, eps)[0]
         if self.kind == "CW":
             return is_eps_causal(self.coupling, eps, X_TO_Y)[0]
+        if self.kind in ("SCW", "SCW_strict"):
+            # the direction whose causal distance gave the value
+            return is_eps_causal(self.coupling, eps, self.diagnostics["direction"])[0]
         return True
 
     def to_json_dict(self, include_witness: bool = False) -> dict:
@@ -108,21 +111,11 @@ def wasserstein(x: FilteredTree, y: FilteredTree, p: float = 1.0,
 
 
 def _expand_law_plan(x, y, lx, ly, plan) -> Coupling:
-    """Lift a coupling of canonicalized laws to a leaf-pair coupling."""
-    from .trees import _round_key
-
-    def groups(tree, lw):
-        key_to_idx = {_round_key(p): i for i, p in enumerate(lw.paths)}
-        cond = np.zeros((len(lw.weights), tree.n_leaves))
-        for k in range(tree.n_leaves):
-            i = key_to_idx[_round_key(tree.leaf_paths[k])]
-            cond[i, k] = tree.leaf_probs[k]
-        cond /= cond.sum(axis=1, keepdims=True)
-        return cond
-
-    gx, gy = groups(x, lx), groups(y, ly)
-    w = gx.T @ plan @ gy
-    return Coupling(x, y, w)
+    """Lift a coupling of canonicalized laws to a leaf-pair coupling: each
+    atom's mass is split over its leaves in proportion to their masses."""
+    ix, iy = _path_ids(x.leaf_paths)[1], _path_ids(y.leaf_paths)[1]
+    cx, cy = x.leaf_probs / lx.weights[ix], y.leaf_probs / ly.weights[iy]
+    return Coupling(x, y, cx[:, None] * plan[ix][:, iy] * cy)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +375,7 @@ def scw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
     return DistanceReport("SCW", p, top.value, top.eps_steps, top.epsilon_time,
                           cpl,
                           {"forward": fwd.value, "backward": bwd.value,
+                           "direction": X_TO_Y if top is fwd else Y_TO_X,
                            "lp_iterations": fwd.diagnostics["lp_iterations"]
                            + bwd.diagnostics["lp_iterations"],
                            "runtime_s": time.perf_counter() - t0},
@@ -396,16 +390,17 @@ def strict_scw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
     x, y = _prepare(x, y, p)
     vals = []
     iters = 0
-    cpl = None
-    for directions in ((X_TO_Y,), (Y_TO_X,)):
-        value, c, it, _ = _constrained_lp(x, y, 0, p, directions, witness,
+    cpl = direction = None
+    for d in (X_TO_Y, Y_TO_X):
+        value, c, it, _ = _constrained_lp(x, y, 0, p, (d,), witness,
                                           cell_cap, metric=metric)
         vals.append(value)
         iters += it
         if value == max(vals):
-            cpl = c
+            cpl, direction = c, d
     return DistanceReport("SCW_strict", p, max(vals), 0, 0.0, cpl,
                           {"forward": vals[0], "backward": vals[1],
+                           "direction": direction,
                            "lp_iterations": iters,
                            "runtime_s": time.perf_counter() - t0},
                           metric=metric)

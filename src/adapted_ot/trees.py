@@ -13,6 +13,10 @@ one virtual root) and `probs` (transition probabilities), and from those
 Every backward expectation E[. | F_t] goes through `children_sum`, which
 adds prob * x over the children in child-index order, the same order as a
 loop over `children`, so its sums are reproducible bit for bit.
+
+Every grouping (law atoms, value histories, subtree classes) goes through
+`_unique_rows` over values rounded by `_rounded`: to `EQUAL_DECIMALS`
+places, and to `ISO_DECIMALS` in `tree_isomorphic` alone.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 PROB_TOL = 1e-12
 TIME_TOL = 1e-12
 EQUAL_DECIMALS = 12
+ISO_DECIMALS = 10
 
 
 def _rounded(x, decimals: int = EQUAL_DECIMALS) -> np.ndarray:
@@ -35,12 +40,36 @@ def _rounded(x, decimals: int = EQUAL_DECIMALS) -> np.ndarray:
     return np.round(np.asarray(x, dtype=float), decimals) + 0.0
 
 
-def _round_key(x, decimals: int = EQUAL_DECIMALS):
-    """Hashable key for floats/arrays, rounded so that 1e-12-close reals collide."""
-    r = _rounded(x, decimals)
-    if r.ndim == 0:
-        return float(r)
-    return r.tobytes()
+def _unique_rows(rows: np.ndarray):
+    """(first, ids): the index of the first occurrence of each distinct row
+    of `rows` (leading axis), distinct rows in lexicographic order, and for
+    every row the position of its distinct row in that order."""
+    rows = rows.reshape(len(rows), -1)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(rows), dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return order[new], ids
+
+
+def _path_ids(paths: np.ndarray):
+    """`_unique_rows` of the rounded paths read as bytes: the distinct paths
+    come in the byte order of their rounded values, which is the atom order
+    of a canonical path law."""
+    return _unique_rows(_rounded(paths).reshape(len(paths), -1).view(np.uint8))
+
+
+def _history_ids(paths: np.ndarray):
+    """Per level, `_unique_rows` of the rounded value histories of `paths`
+    (m, levels, dim) up to that level: built from (history id at the level
+    before, value id)."""
+    history = np.zeros(len(paths), dtype=np.intp)
+    for i in range(paths.shape[1]):
+        values = _unique_rows(_rounded(paths[:, i]))[1]
+        first, history = _unique_rows(np.stack([history, values], axis=1))
+        yield first, history
 
 
 @dataclass(frozen=True)
@@ -330,18 +359,10 @@ class PathLaw:
     paths: np.ndarray     # (m, N+1, dim)
 
     def canonicalize(self) -> "PathLaw":
-        """Merge duplicate paths (weights added) and sort deterministically."""
-        buckets = {}
-        for w, p in zip(self.weights, self.paths):
-            k = _round_key(p)
-            if k in buckets:
-                buckets[k][0] += float(w)
-            else:
-                buckets[k] = [float(w), p]
-        items = sorted(buckets.items(), key=lambda kv: kv[0])
-        ws = np.array([v[0] for _, v in items])
-        ps = np.array([v[1] for _, v in items])
-        return PathLaw(self.grid, ws, ps)
+        """Merge duplicate paths (weights added in path order, the first
+        path kept) and sort them by the bytes of their rounded values."""
+        first, ids = _path_ids(self.paths)
+        return PathLaw(self.grid, np.bincount(ids, self.weights), self.paths[first])
 
 
 def law(tree: FilteredTree) -> PathLaw:
@@ -352,40 +373,24 @@ def law(tree: FilteredTree) -> PathLaw:
 
 def standard_tree(path_law: PathLaw) -> FilteredTree:
     """Standard naturally filtered process of a path law: atoms are the
-    distinct value histories."""
-    m, n_levels, dim = path_law.paths.shape
-    # group paths by prefix keys, level by level
-    prefix_nodes = []  # per level: list of (key, parent_index, value, weight)
-    parent_of_path = np.zeros(m, dtype=int)
+    distinct value histories, numbered in the order the paths first reach
+    them."""
+    paths, weights = path_law.paths, path_law.weights
     levels = []
-    for i in range(n_levels):
-        groups = {}
-        order = []
-        for pi in range(m):
-            k = (int(parent_of_path[pi]), _round_key(path_law.paths[pi, i]))
-            if k not in groups:
-                groups[k] = [len(order), 0.0, path_law.paths[pi, i]]
-                order.append(k)
-            groups[k][1] += float(path_law.weights[pi])
-        nodes = []
-        for k in order:
-            idx, w, val = groups[k]
-            parent = None if i == 0 else k[0]
-            nodes.append((parent, w, val))
-        new_parent = np.array([groups[(int(parent_of_path[pi]),
-                                       _round_key(path_law.paths[pi, i]))][0]
-                               for pi in range(m)])
-        # convert absolute weights to transition probabilities
-        lv = []
-        for parent, w, val in nodes:
-            if i == 0:
-                lv.append(Node(None, w, tuple(val)))
-            else:
-                lv.append(Node(parent, w / levels_abs[parent], tuple(val)))
-        levels.append(tuple(lv))
-        levels_abs = np.array([w for _, w, _ in nodes])
-        parent_of_path = new_parent
-    return FilteredTree(path_law.grid, tuple(levels), dim)
+    node = np.zeros(len(paths), dtype=np.intp)  # the virtual root
+    parent_mass = np.ones(1)
+    for i, (first, history) in enumerate(_history_ids(paths)):
+        seen = np.argsort(first)
+        number = np.empty(len(first), dtype=np.intp)
+        number[seen] = np.arange(len(first))
+        up, node = node, number[history]
+        mass = np.bincount(node, weights)
+        levels.append(tuple(
+            Node(None if i == 0 else int(up[r]), float(mass[n] / parent_mass[up[r]]),
+                 tuple(paths[r, i]))
+            for n, r in enumerate(first[seen].tolist())))
+        parent_mass = mass
+    return FilteredTree(path_law.grid, tuple(levels), paths.shape[2])
 
 
 # ---------------------------------------------------------------------------
@@ -428,28 +433,21 @@ def coarsen_filtration(tree: FilteredTree, target: TimeGrid) -> FilteredTree:
         src_level.append(tree.grid.index_of(up) + 1)
 
     levels = [tree.levels[0]]
-    # maps from original node index at src_level[i] to new node index at level i
-    prev_map = {j: j for j in range(len(tree.levels[0]))}
     for i in range(1, n):
         lo, hi = src_level[i - 1], src_level[i]
-        nodes = []
-        cur_map = {}
-        for j, _nd in enumerate(tree.levels[hi]):
-            # walk up from level hi to level lo to find the ancestor
-            k, lev = j, hi
-            trans = 1.0
-            while lev > lo:
-                nd = tree.levels[lev][k]
-                trans *= nd.prob
-                k, lev = nd.parent, lev - 1
-            # value at time t_i is the value of the level-i ancestor
-            kk, ll = j, hi
-            while ll > i:
-                kk, ll = tree.levels[ll][kk].parent, ll - 1
-            cur_map[j] = len(nodes)
-            nodes.append(Node(prev_map[k], trans, tree.levels[i][kk].value))
-        levels.append(tuple(nodes))
-        prev_map = cur_map
+        # the level-hi atoms, hung from their level-lo ancestors with the
+        # transition probabilities multiplied from level hi down
+        nodes = np.arange(len(tree.levels[hi]))
+        parent, trans = nodes, np.ones(len(nodes))
+        for lev in range(hi, lo, -1):
+            trans = trans * tree.probs[lev][parent]
+            parent = tree.parents[lev][parent]
+        # the value at time t_i is the value of the level-i ancestor
+        at_i = nodes
+        for lev in range(hi, i, -1):
+            at_i = tree.parents[lev][at_i]
+        levels.append(tuple(Node(k, t, tree.levels[i][a].value) for k, t, a in
+                            zip(parent.tolist(), trans.tolist(), at_i.tolist())))
     return FilteredTree(tree.grid, tuple(levels), tree.dim)
 
 
@@ -500,25 +498,40 @@ def align(x: FilteredTree, y: FilteredTree):
 # Isomorphism (equality of trees up to sibling reordering)
 
 
-def _canonical_subtree(tree: FilteredTree, level: int, node: int):
-    nd = tree.levels[level][node]
-    kids = tree.children[level][node]
-    sub = tuple(sorted(
-        (round(tree.levels[level + 1][c].prob, 10), _canonical_subtree(tree, level + 1, c))
-        for c in kids))
-    return (_round_key(np.asarray(nd.value), 10), sub)
-
-
 def tree_isomorphic(a: FilteredTree, b: FilteredTree) -> bool:
     """True iff the trees coincide up to reordering of siblings (same grid,
-    values and probabilities compared after rounding to 1e-10)."""
+    values and probabilities compared after rounding to `ISO_DECIMALS`).
+
+    Subtrees get integer ids bottom-up, numbered over the nodes of both trees
+    at once: a node's id is that of its rounded value together with the
+    sorted (rounded probability, id) pairs of its children."""
     if a.dim != b.dim or a.grid.times != b.grid.times:
         return False
-    ca = tuple(sorted((round(nd.prob, 10), _canonical_subtree(a, 0, j))
-                      for j, nd in enumerate(a.levels[0])))
-    cb = tuple(sorted((round(nd.prob, 10), _canonical_subtree(b, 0, j))
-                      for j, nd in enumerate(b.levels[0])))
-    return ca == cb
+    # the nodes one level below, a's first: parent, rounded probability and
+    # subtree id (none below the leaves)
+    up = prob = ids = np.zeros(0, dtype=np.intp)
+    for i in range(a.n_levels - 1, -2, -1):  # level -1 is the virtual root
+        values = np.zeros((2, 0)) if i < 0 else _rounded(
+            np.concatenate([a.level_values[i], b.level_values[i]]), ISO_DECIMALS)
+        order = np.lexsort((ids, prob, up))
+        count = np.bincount(up, minlength=len(values))
+        start = np.cumsum(count) - count
+        # nodes with c children get rows of one width and their own id range
+        new_ids = np.empty(len(values), dtype=np.intp)
+        offset = 0
+        for c in np.unique(count):
+            at = np.flatnonzero(count == c)
+            kids = order[start[at, None] + np.arange(c)]
+            first, local = _unique_rows(np.concatenate(
+                [values[at], prob[kids], ids[kids]], axis=1))
+            new_ids[at] = offset + local
+            offset += len(first)
+        ids = new_ids
+        if i >= 0:
+            shift = len(a.levels[i - 1]) if i else 1
+            up = np.concatenate([a.parents[i], b.parents[i] + shift])
+            prob = _rounded(np.concatenate([a.probs[i], b.probs[i]]), ISO_DECIMALS)
+    return bool(ids[0] == ids[1])
 
 
 # ---------------------------------------------------------------------------

@@ -42,3 +42,16 @@ def coarse_tree(rng, **kwargs):
     return FilteredTree(t.grid, tuple(
         tuple(Node(nd.parent, nd.prob, tuple(np.rint(nd.value) + 0.0)) for nd in lv)
         for lv in t.levels), t.dim)
+
+
+def shuffled(tree, rng):
+    """The same tree with its node order permuted within every level."""
+    perms = [rng.permutation(len(lv)) for lv in tree.levels]
+    new_index = [np.argsort(p) for p in perms]
+    levels = []
+    for i, (lv, perm) in enumerate(zip(tree.levels, perms)):
+        levels.append(tuple(
+            Node(None if i == 0 else int(new_index[i - 1][lv[j].parent]),
+                 lv[j].prob, lv[j].value)
+            for j in perm))
+    return FilteredTree(tree.grid, tuple(levels), tree.dim)

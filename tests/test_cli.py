@@ -196,3 +196,17 @@ def test_dist_rejects_tolerance(capsys):
               "--tolerance", "1e-3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("os", "--tree", "rw:n=2", "--phi", "bogus"), 1),
+    (("donsker", "--n-ladder", "a"), 1),
+    (("donsker", "--n-ladder", "16", "--eps-ladder", "1", "--samples", "0"), 2),
+    (("euler", "--n-ladder", "8", "--samples", "-5"), 2),
+    (("topology-table", "--family", "offset", "--ladder", "x"), 1),
+])
+def test_bad_input_exits_with_one_line(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1

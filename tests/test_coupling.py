@@ -205,16 +205,18 @@ def test_transport_cost_examples(fig1):
 def test_identity_on_paths_coupling_with_natural_tree(rng):
     # the identity-on-paths coupling with the standard naturally filtered
     # tree is causal toward it; the reverse holds iff already natural
-    from adapted_ot.trees import _round_key
+    def key(path):
+        return (np.round(path, 12) + 0.0).tobytes()
+
     trees = [random_tree(rng, root_atoms=int(rng.integers(1, 3))) for _ in range(30)]
     trees += [coarse_tree(rng, root_atoms=int(rng.integers(1, 3))) for _ in range(30)]
     for y in trees:
         s = natural_tree(y)
         # couple each y-leaf with the s-leaf carrying the same path
-        key_to_s = {_round_key(s.leaf_paths[j]): j for j in range(s.n_leaves)}
+        key_to_s = {key(s.leaf_paths[j]): j for j in range(s.n_leaves)}
         w = np.zeros((y.n_leaves, s.n_leaves))
         for k in range(y.n_leaves):
-            w[k, key_to_s[_round_key(y.leaf_paths[k])]] = y.leaf_probs[k]
+            w[k, key_to_s[key(y.leaf_paths[k])]] = y.leaf_probs[k]
         pi = Coupling(y, s, w)
         pi.check()
         ok_fwd, viol = is_eps_causal(pi, ZERO_SHIFT, X_TO_Y)

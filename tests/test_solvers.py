@@ -6,9 +6,11 @@ from adapted_ot import (aw, cw, eps_bicausal_lp, figure1_pair, hellwig,
                         offset_rw_pair, random_tree, random_walk_tree,
                         scw, strict_scw, tree_isomorphic, wasserstein,
                         coarsen_filtration, TimeGrid)
+from adapted_ot.coupling import X_TO_Y, Y_TO_X, ZERO_SHIFT, is_eps_causal
+from adapted_ot.solvers import DistanceReport
 from adapted_ot.trees import align
 
-from conftest import deterministic_tree
+from conftest import coarse_tree, deterministic_tree
 
 
 def test_w_fig1_is_the_gap():
@@ -198,9 +200,27 @@ def test_scw_keeps_backward_witness(fig1):
     assert rep.diagnostics["backward"] > rep.diagnostics["forward"]
     assert rep.coupling is not None
     assert rep.coupling.left.levels == pe.levels
+    assert rep.diagnostics["direction"] == Y_TO_X
     assert rep.verify_witness()
     assert rep.value == scw(p, pe).value
     assert "runtime_s" in rep.diagnostics
+
+
+@pytest.mark.parametrize("kind", ["AW", "AW_strict", "AW_eps", "CW", "SCW",
+                                  "SCW_strict"])
+def test_verify_witness_checks_causality_of_every_kind(fig1, kind):
+    # the W plan of figure 1 pairs the paths without looking at the
+    # filtrations; it breaks shift-0 causality from P to Pe by 0.25
+    p, pe = fig1
+    w = wasserstein(p, pe)
+    assert not is_eps_causal(w.coupling, ZERO_SHIFT, X_TO_Y)[0]
+    rep = DistanceReport(kind, w.p, w.value, 0, 0.0, w.coupling,
+                         {"direction": X_TO_Y})
+    assert not rep.verify_witness()
+    if kind.startswith("SCW"):
+        # the same plan is causal in the other direction
+        rep.diagnostics["direction"] = Y_TO_X
+        assert rep.verify_witness()
 
 
 def test_strict_scw(rng, fig1):
@@ -224,9 +244,14 @@ def test_strict_scw(rng, fig1):
 
 
 def test_witnesses_feasible(rng):
-    for _ in range(10):
-        x, y = align(random_tree(rng), random_tree(rng))
-        for rep in (aw(x, y), cw(x, y), nested_bicausal(x, y),
+    pairs = [align(random_tree(rng), random_tree(rng)) for _ in range(10)]
+    # coarse values merge leaves into one law atom, so the W witness is a
+    # lift of the law plan
+    pairs += [align(coarse_tree(rng, root_atoms=2), coarse_tree(rng))
+              for _ in range(10)]
+    for x, y in pairs:
+        for rep in (wasserstein(x, y), aw(x, y), cw(x, y), scw(x, y),
+                    strict_scw(x, y), nested_bicausal(x, y),
                     eps_bicausal_lp(x, y, 1)):
             assert rep.verify_witness(), rep.kind
 

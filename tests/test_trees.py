@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from adapted_ot import (FilteredTree, Node, TimeGrid, coarsen_filtration,
-                        counterexample_pair, discretize_path, law,
-                        random_tree, regrid,
-                        standard_tree, tree_from_json, tree_isomorphic,
+from adapted_ot import (FilteredTree, Node, PathLaw, TimeGrid,
+                        coarsen_filtration, counterexample_pair,
+                        discretize_path, law, natural_tree, random_tree,
+                        regrid, standard_tree, tree_from_json, tree_isomorphic,
                         tree_to_json, validate)
 from adapted_ot.solvers import aw
+from adapted_ot.trees import TIME_TOL
 
-from conftest import deterministic_tree, two_coin_tree
+from conftest import coarse_tree, deterministic_tree, shuffled, two_coin_tree
 
 
 def test_grid_invariants():
@@ -196,7 +197,143 @@ def test_standard_tree_carries_law(rng):
         assert np.allclose(la.paths, lb.paths, atol=1e-12)
 
 
-def test_isomorphism_permutation_invariance():
+# Oracles: the dict-keyed loops that grouped paths and walked ancestors
+# node by node before the array versions; kept here as independent checks.
+
+def _key(x):
+    return (np.round(x, 12) + 0.0).tobytes()
+
+
+def oracle_law(tree):
+    """(weights, paths): equal rounded paths merged, weights added in leaf
+    order, the first path kept, atoms sorted by the bytes of their key."""
+    buckets = {}
+    for w, p in zip(tree.leaf_probs, tree.leaf_paths):
+        k = _key(p)
+        if k in buckets:
+            buckets[k][0] += float(w)
+        else:
+            buckets[k] = [float(w), p]
+    items = sorted(buckets.items(), key=lambda kv: kv[0])
+    return (np.array([v[0] for _, v in items]),
+            np.array([v[1] for _, v in items]))
+
+
+def oracle_standard_tree(grid, weights, paths):
+    """Nodes are (parent node, rounded value) groups of the paths, numbered
+    in the order the paths first reach them."""
+    m, n_levels, dim = paths.shape
+    node_of_path = [None] * m
+    levels = []
+    for i in range(n_levels):
+        index, nodes, new = {}, [], []
+        for k in range(m):
+            key = (node_of_path[k], _key(paths[k, i]))
+            if key not in index:
+                index[key] = len(nodes)
+                nodes.append([key[0], 0.0, paths[k, i]])
+            nodes[index[key]][1] += float(weights[k])
+            new.append(index[key])
+        levels.append(tuple(
+            Node(up, w if i == 0 else w / levels_mass[up], tuple(v))
+            for up, w, v in nodes))
+        levels_mass = [w for _, w, _ in nodes]
+        node_of_path = new
+    return FilteredTree(grid, tuple(levels), dim)
+
+
+def oracle_coarsen(tree, target):
+    src_level = [0] + [
+        tree.grid.index_of(min(s for s in target.times
+                               if s >= tree.grid.level_time(i) - TIME_TOL)) + 1
+        for i in range(1, tree.n_levels)]
+    levels = [tree.levels[0]]
+    for i in range(1, tree.n_levels):
+        lo, hi = src_level[i - 1], src_level[i]
+        nodes = []
+        for j in range(len(tree.levels[hi])):
+            k, lev, trans = j, hi, 1.0
+            while lev > lo:
+                nd = tree.levels[lev][k]
+                trans *= nd.prob
+                k, lev = nd.parent, lev - 1
+            a, lev = j, hi
+            while lev > i:
+                a, lev = tree.levels[lev][a].parent, lev - 1
+            nodes.append(Node(k, trans, tree.levels[i][a].value))
+        levels.append(tuple(nodes))
+    return FilteredTree(tree.grid, tuple(levels), tree.dim)
+
+
+def _redrawn_probs(tree, rng):
+    """The tree with every sibling group's probabilities redrawn from a
+    flat Dirichlet law."""
+    levels = []
+    for lv, up in zip(tree.levels, tree.parents):
+        probs = np.empty(len(lv))
+        for p in range(up.max() + 1):
+            kids = np.flatnonzero(up == p)
+            probs[kids] = rng.dirichlet(np.ones(len(kids)))
+        levels.append(tuple(Node(nd.parent, float(q), nd.value)
+                            for nd, q in zip(lv, probs)))
+    return FilteredTree(tree.grid, tuple(levels), tree.dim)
+
+
+def _grouping_corpus(rng):
+    trees = [random_tree(rng, max_steps=4, root_atoms=int(rng.integers(1, 4)),
+                         dim=int(rng.integers(1, 3))) for _ in range(15)]
+    trees += [coarse_tree(rng, max_steps=4, root_atoms=int(rng.integers(1, 3)),
+                          dim=int(rng.integers(1, 3))) for _ in range(25)]
+    # Dirichlet probabilities are not dyadic, so products and sums of them
+    # depend on their order
+    trees += [_redrawn_probs(coarse_tree(rng, max_steps=4, root_atoms=2), rng)
+              for _ in range(5)]
+    return trees + [shuffled(t, rng) for t in trees] + list(counterexample_pair(2, 4))
+
+
+def test_law_and_standard_tree_match_oracles(rng):
+    for t in _grouping_corpus(rng):
+        weights, paths = oracle_law(t)
+        lw = law(t)
+        assert lw.weights.tolist() == weights.tolist()
+        assert np.array_equal(lw.paths, paths)
+        want = oracle_standard_tree(t.grid, weights, paths)
+        assert standard_tree(lw) == want
+        assert natural_tree(t) == want
+        # a law that is not canonical: one path per leaf, duplicates kept
+        raw = PathLaw(t.grid, t.leaf_probs, t.leaf_paths)
+        assert standard_tree(raw) == oracle_standard_tree(t.grid, t.leaf_probs,
+                                                          t.leaf_paths)
+
+
+def test_coarsen_filtration_matches_oracle(rng):
+    for t in _grouping_corpus(rng):
+        times = t.grid.times
+        keep = [s for s in times[:-1] if rng.random() < 0.5] + [1.0]
+        for target in (t.grid, TimeGrid((1.0,)), TimeGrid(tuple(keep))):
+            assert coarsen_filtration(t, target) == oracle_coarsen(t, target)
+
+
+def _perturbed(tree, rng, what):
+    """A copy with one node value moved by 1e-3, or 1e-3 of probability
+    moved between two siblings."""
+    levels = [list(lv) for lv in tree.levels]
+    if what == "value":
+        i = int(rng.integers(tree.n_levels))
+        j = int(rng.integers(len(levels[i])))
+        nd = levels[i][j]
+        levels[i][j] = Node(nd.parent, nd.prob, tuple(np.add(nd.value, 1e-3)))
+    else:
+        sibs = [(i + 1, kids) for i, ch in enumerate(tree.children)
+                for kids in ch if len(kids) >= 2]
+        i, kids = sibs[int(rng.integers(len(sibs)))]
+        for j, d in zip(kids, (1e-3, -1e-3)):
+            nd = levels[i][j]
+            levels[i][j] = Node(nd.parent, nd.prob + d, nd.value)
+    return FilteredTree(tree.grid, tuple(map(tuple, levels)), tree.dim)
+
+
+def test_isomorphism_permutation_invariance(rng):
     g = TimeGrid((1.0,))
     a = FilteredTree(g, (
         (Node(None, 1.0, (0.0,)),),
@@ -212,6 +349,12 @@ def test_isomorphism_permutation_invariance():
         (Node(0, 0.5, (1.0,)), Node(0, 0.5, (-1.0,))),
     ))
     assert not tree_isomorphic(a, c)
+    for t in _grouping_corpus(rng):
+        assert tree_isomorphic(t, shuffled(t, rng))
+        for what in ("value", "prob"):
+            other = _perturbed(t, rng, what)
+            assert validate(other) == []
+            assert not tree_isomorphic(t, shuffled(other, rng))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
