@@ -1,9 +1,10 @@
 """Couplings of two scenario trees and eps-causality constraint generation.
 
 A coupling is a joint weight matrix over leaf pairs.  Causality from X to Y
-within a shift of k grid levels means: for every interior grid time t_i, the
-time-t_i atoms of Y are conditionally independent of the X-leaves given X's
-atoms at level min(i+k, N).  On finite trees this is a finite family of
+within a shift of k grid levels means: for every grid time t_i before the
+horizon, the root time t_0 included, the time-t_i atoms of Y are
+conditionally independent of the X-leaves given X's atoms at level
+min(i+k, N).  On finite trees this is a finite family of
 linear equality rows over the coupling entries (test functions are atom
 indicators; that spans all bounded measurables).
 """
@@ -97,7 +98,8 @@ def causality_constraints(x: FilteredTree, y: FilteredTree, eps_steps: int,
     per time are omitted; those rows are implied by the marginal equations.
     Rows with identically zero coefficients (single-leaf atoms, saturated
     shifts) never appear, so a deterministic source yields no rows and
-    eps_steps >= N yields no rows.
+    eps_steps >= N yields no rows.  Level 0 has rows only when Y's root holds
+    several atoms; with one root atom they would repeat the marginals.
     """
     _require_same_grid(x, y)
     if direction == Y_TO_X:
@@ -114,16 +116,14 @@ def causality_constraints(x: FilteredTree, y: FilteredTree, eps_steps: int,
     n_grid = x.grid.n_steps
     rows = []
     px = x.leaf_probs
-    for i in range(1, n_grid):
+    for i in range(0 if len(y.levels[0]) > 1 else 1, n_grid):
         shift_level = min(i + eps_steps, n_grid)
         anc_x = x.ancestors[shift_level]
         anc_y = y.ancestors[i]
         n_atoms_y = len(y.levels[i])
         y_limit = n_atoms_y - 1 if (drop_redundant and n_atoms_y > 1) else n_atoms_y
-        for a in range(len(x.levels[shift_level])):
+        for a in np.flatnonzero(np.bincount(anc_x) >= 2):
             leaves = np.nonzero(anc_x == a)[0]
-            if leaves.size < 2:
-                continue
             mass = px[leaves].sum()
             limit = leaves.size - 1 if drop_redundant else leaves.size
             for li in range(limit):

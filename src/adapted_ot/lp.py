@@ -6,10 +6,11 @@ min c.x  s.t.  A x = b, x >= 0.
 Math. Prog. Comp. 2018).  The dual simplex ends on a basic solution, so
 every witness is a vertex.  `transport_lp` builds the marginal rows of a
 coupling as a sparse matrix and stacks any extra equality rows under them.
-A transport with one atom on a side has one feasible plan, the other side's
-weights; with two atoms on a side (and no extra rows) it is solved in
-closed form.  Every returned solution passes the same primal residual
-check.
+Without extra rows, a transport with one atom on a side has one feasible
+plan, the other side's weights, and one with two atoms on a side is solved
+in closed form; `transport_batch` runs these closed forms over a batch of
+transports at once.  Every returned solution passes the same primal
+residual check.
 
 scipy.optimize and scipy.sparse are imported on first use: processes that
 never solve an LP do not pay for them.
@@ -85,16 +86,34 @@ def lp_solve(lp: LinearProgram) -> LPResult:
 
 
 def _two_row_plan(p, q, cost):
-    """Optimal plan with two rows.  Row 1 is q minus row 0, which leaves a
+    """Optimal plans with two rows, over any leading batch axes: p (..., 2),
+    q (..., n), cost (..., 2, n).  Row 1 is q minus row 0, which leaves a
     fractional knapsack: row 0 takes whole columns in ascending order of
     cost[0] - cost[1] (stable sort, so ties go in index order) until p[0]
-    is spent.  At most one column is split, so the plan is a vertex."""
-    order = np.argsort(cost[0] - cost[1], kind="stable")
-    qs = q[order]
-    before = np.concatenate(([0.0], np.cumsum(qs[:-1])))
+    is spent.  At most one column is split, so each plan is a vertex."""
+    order = np.argsort(cost[..., 0, :] - cost[..., 1, :], axis=-1, kind="stable")
+    qs = np.take_along_axis(q, order, axis=-1)
+    before = np.cumsum(np.insert(qs[..., :-1], 0, 0.0, axis=-1), axis=-1)
     row0 = np.empty_like(q)
-    row0[order] = np.clip(p[0] - before, 0.0, qs)
-    return np.vstack([row0, q - row0])
+    np.put_along_axis(row0, order, np.clip(p[..., :1] - before, 0.0, qs), axis=-1)
+    return np.stack([row0, q - row0], axis=-2)
+
+
+def _closed_form(p, q, cost):
+    """Plans and residuals of a batch of transports with one or two atoms on
+    a side: p (B, m), q (B, n), cost (B, m, n); negative weights give inf."""
+    m, n = cost.shape[1:]
+    if min(m, n) == 1:
+        # one atom forces the plan to the other side's weights
+        plan = np.zeros(cost.shape) + (q[:, None] if m == 1 else p[..., None])
+    else:
+        plan = (_two_row_plan(p, q, cost) if m == 2 else
+                _two_row_plan(q, p, cost.swapaxes(1, 2)).swapaxes(1, 2))
+        plan = np.where(plan < ZERO_TOL, 0.0, plan)
+    resid = np.maximum(np.abs(plan.sum(axis=2) - p).max(axis=1),
+                       np.abs(plan.sum(axis=1) - q).max(axis=1))
+    resid[(p < 0).any(axis=1) | (q < 0).any(axis=1)] = np.inf
+    return plan, resid
 
 
 def _transport_rows(npp: int, nq: int, extra_rows):
@@ -122,31 +141,33 @@ def transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray,
     q = np.asarray(q, dtype=float).ravel()
     npp, nq = p.size, q.size
     c = np.asarray(cost, dtype=float).ravel()
-    # one atom on a side forces the plan to the other side's weights
-    if npp == 1 or nq == 1:
-        x, total = (q, float(p[0])) if npp == 1 else (p, float(q[0]))
-        xs = x.tolist()  # list arithmetic: this path runs once per DP node
-        resid = abs(sum(xs) - total)
-        if extra_rows is not None:
-            rhs = 0.0 if extra_rhs is None else extra_rhs
-            resid = max(resid, float(np.abs(extra_rows @ x - rhs).max(initial=0.0)))
-        # negative, unbalanced or row-violating inputs go to HiGHS, which
-        # classifies them
-        if total >= 0 and min(xs) >= 0 and resid <= RESID_TOL:
-            return _optimal(c, x.copy(), 0, resid)
-    if extra_rows is None and 2 in (npp, nq):
-        cost2 = c.reshape(npp, nq)
-        plan = (_two_row_plan(p, q, cost2) if npp == 2
-                else _two_row_plan(q, p, cost2.T).T)
-        plan = np.where(plan < ZERO_TOL, 0.0, plan)
-        resid = max(np.abs(plan.sum(axis=1) - p).max(),
-                    np.abs(plan.sum(axis=0) - q).max())
+    if extra_rows is None and min(npp, nq) <= 2:
+        plan, resid = _closed_form(p[None], q[None], c.reshape(1, npp, nq))
         # negative or unbalanced weights go to HiGHS, which classifies them
-        if (p >= 0).all() and (q >= 0).all() and resid <= RESID_TOL:
-            return _optimal(c, plan.ravel(), 0, float(resid))
+        if resid[0] <= RESID_TOL:
+            return _optimal(c, plan.ravel(), 0, float(resid[0]))
     A = _transport_rows(npp, nq, extra_rows)
     b = np.zeros(A.shape[0])
     b[:npp], b[npp:npp + nq] = p, q
     if extra_rhs is not None:
         b[npp + nq:] = extra_rhs
     return lp_solve(LinearProgram(c, A, b))
+
+
+def transport_batch(p: np.ndarray, q: np.ndarray, cost: np.ndarray):
+    """`transport_lp` on a batch of one shape, p (B, m), q (B, n), cost
+    (B, m, n), with the closed forms run on the whole batch.  Returns the
+    values (B,), the plans (B, m, n) and the summed simplex iterations."""
+    B, m, n = cost.shape
+    plans, resid = (_closed_form(p, q, cost) if min(m, n) <= 2
+                    else (np.empty(cost.shape), np.full(B, np.inf)))
+    iterations = 0
+    for b in np.flatnonzero(~(resid <= RESID_TOL)):
+        res = transport_lp(p[b], q[b], cost[b])
+        if res.status != "optimal":
+            raise LPError(f"transport LP ended with status {res.status}")
+        plans[b] = res.x.reshape(m, n)
+        iterations += res.iterations
+    # one dot product per member: values equal `c @ x` in `_optimal` exactly
+    values = np.matmul(cost.reshape(B, 1, m * n), plans.reshape(B, m * n, 1))
+    return values.reshape(B), plans, iterations

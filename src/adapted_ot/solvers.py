@@ -6,8 +6,10 @@ minimization over the information shift, and the Hellwig metric via nested
 transport problems.
 
 The bicausal problem at shift 0 factorizes into per-node-pair transport
-subproblems; any positive shift misaligns the conditioning and is solved as
-one global LP over leaf-pair cells, which is why leaf products are capped.
+subproblems, solved backwards one level at a time over arrays of node pairs,
+with the transports of equal shape batched; any positive shift misaligns
+the conditioning and is solved as one global LP over leaf-pair cells, which
+is why leaf products are capped.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ import numpy as np
 
 from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _path_distances,
                        causality_constraints, is_eps_bicausal, is_eps_causal,
-                       path_cost_matrix)
-from .lp import LPError, transport_lp
+                       path_cost_matrix, transport_cost)
+from .lp import LPError, transport_batch, transport_lp
 from .prediction import rank1_conditional_laws
 from .trees import FilteredTree, align, check_valid, law, _path_ids
 
 DEFAULT_CELL_CAP = 40_000
-DEFAULT_STATE_CAP = 2_000_000
+DEFAULT_STATE_CAP = 6_000_000
 
 
 @dataclass
@@ -41,14 +43,13 @@ class DistanceReport:
     metric: str = "sup"
 
     def verify_witness(self, tol: float = 1e-8) -> bool:
-        """Check feasibility of the witness and that it reproduces the value."""
+        """Check feasibility of the witness and that it reproduces the value
+        less the shift penalty recorded in the diagnostics."""
         if self.coupling is None:
             return True
         self.coupling.check()
-        from .coupling import transport_cost
         cost = transport_cost(self.coupling, self.p, self.metric)
-        target = self.value - (self.epsilon_time if self.kind in ("AW", "CW", "SCW") else 0.0)
-        if abs(cost - target) > tol:
+        if abs(cost - (self.value - self.diagnostics.get("penalty", 0.0))) > tol:
             return False
         eps = EpsShift(self.eps_steps or 0,  self.epsilon_time)
         if self.kind in ("AW", "AW_strict", "AW_eps"):
@@ -69,18 +70,14 @@ class DistanceReport:
         return out
 
 
-def _prepare(x: FilteredTree, y: FilteredTree, p: float):
+def _prepare(x: FilteredTree, y: FilteredTree, p: float, metric: str = "sup"):
     if not 1.0 <= p < np.inf:
         raise ValueError(f"p must be a finite number >= 1, got {p!r}")
+    if metric not in ("sup", "l1"):
+        raise ValueError(f"unknown metric {metric!r}")
     check_valid(x)
     check_valid(y)
     return align(x, y)
-
-
-def _cell_guard(x: FilteredTree, y: FilteredTree, cap: int):
-    cells = x.n_leaves * y.n_leaves
-    if cells > cap:
-        raise ValueError(f"leaf product {cells} exceeds LP cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +89,7 @@ def wasserstein(x: FilteredTree, y: FilteredTree, p: float = 1.0,
     """W_p between the path laws (filtration-blind; invariant under
     hk_minimize because the law is)."""
     t0 = time.perf_counter()
-    x, y = _prepare(x, y, p)
+    x, y = _prepare(x, y, p, metric)
     lx, ly = law(x), law(y)
     cost = _path_distances(lx.paths, ly.paths, x.grid, metric)
     res = transport_lp(lx.weights, ly.weights, cost ** p)
@@ -122,123 +119,100 @@ def _expand_law_plan(x, y, lx, ly, plan) -> Coupling:
 # Nested (strict bicausal) dynamic program
 
 
-class _StateCapExceeded(Exception):
-    pass
-
-
 def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
                     state_cap: int = DEFAULT_STATE_CAP,
                     witness: bool = True, metric: str = "sup") -> DistanceReport:
-    """Strict adapted (nested) distance by backward induction on node pairs.
-
-    The sup-metric cost is carried as the running max along the ancestor
-    pair, which the tree structure determines exactly; at each pair the
-    child distributions are coupled by a small optimal transport whose costs
-    are the child values.  Equals the shift-0 bicausal LP.  The l1 metric at
-    p=1 is time-separable and accumulates instead.  If the state cap is
-    exceeded (or l1 is combined with p>1, whose cost does not factorize)
-    the global LP is used instead.
-    """
+    """Strict adapted (nested) distance by backward induction over arrays of
+    node pairs, one per level.  The sup-metric cost, the running max of the
+    node distances along the ancestor pairs, is built forward; going back,
+    the children of every pair are coupled by an optimal transport at the
+    child values.  The l1 metric at p=1 is time-separable and accumulates
+    instead.  Equals the shift-0 bicausal LP, which is solved instead when
+    the node pairs summed over levels exceed `state_cap` (or for l1 with
+    p>1, whose cost does not factorize)."""
     t0 = time.perf_counter()
-    x, y = _prepare(x, y, p)
-    if metric == "l1" and p != 1.0:
-        rep = eps_bicausal_lp(x, y, EpsShift(0, 0.0), p, witness=witness,
-                              metric=metric)
+    x, y = _prepare(x, y, p, metric)
+    states = sum(len(a) * len(b) for a, b in zip(x.levels, y.levels))
+    fallback = ("l1 with p>1 is not separable" if metric == "l1" and p != 1.0
+                else "state cap exceeded" if states > state_cap else None)
+    if fallback:
+        rep = eps_bicausal_lp(x, y, 0, p, witness, metric=metric)
         rep.kind = "AW_strict"
-        rep.diagnostics["dp_fallback"] = "l1 with p>1 is not separable"
+        rep.diagnostics["dp_fallback"] = fallback
         return rep
     n_levels = x.n_levels
-    dt = np.diff(np.array((0.0,) + x.grid.times))
-    memo = {}
-    plans = {}
+
+    def dist(i):
+        return np.linalg.norm(x.level_values[i][:, None, :]
+                              - y.level_values[i][None, :, :], axis=-1)
+
+    def lift(pairs, i):  # a level-(i-1) pair array at the level-i pairs
+        return pairs[x.parents[i]][:, y.parents[i]]
+
+    if metric == "sup":
+        value = dist(0)
+        for i in range(1, n_levels):
+            value = np.maximum(lift(value, i), dist(i))
+        value = value ** p
+    else:
+        # l1 weights the terminal level by the extra point mass at t=1
+        value = dist(n_levels - 1)
+    plans = [None] * n_levels
     lp_iters = 0
-
-    xv, yv = x.level_values, y.level_values
-
-    def node_dist(i, vi, wj):
-        return float(np.linalg.norm(xv[i][vi] - yv[i][wj]))
-
-    def solve(i, vi, wj, m):
-        """m carries the running max (sup); unused for the separable l1."""
-        nonlocal lp_iters
-        key = (i, vi, wj)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if len(memo) > state_cap:
-            raise _StateCapExceeded
-        if i == n_levels - 1:
-            # l1 weights the terminal level by the extra point mass at t=1
-            val = m ** p if metric == "sup" else node_dist(i, vi, wj)
-            memo[key] = val
-            return val
-        local = dt[i] * node_dist(i, vi, wj) if metric == "l1" else 0.0
-        cx = x.children[i][vi]
-        cy = y.children[i][wj]
-        cost = np.empty((len(cx), len(cy)))
-        for a, c in enumerate(cx):
-            for bqi, d in enumerate(cy):
-                mm = max(m, node_dist(i + 1, c, d)) if metric == "sup" else 0.0
-                cost[a, bqi] = solve(i + 1, c, d, mm)
-        res = transport_lp(x.probs[i + 1][cx], y.probs[i + 1][cy], cost)
-        lp_iters += res.iterations
-        memo[key] = res.value + local
-        if witness:
-            plans[key] = res.x.reshape(len(cx), len(cy))
-        return memo[key]
-
-    capped = False
-    try:
-        rx, ry = x.probs[0], y.probs[0]
-        root_cost = np.empty((rx.size, ry.size))
-        for vi in range(rx.size):
-            for wj in range(ry.size):
-                root_cost[vi, wj] = solve(0, vi, wj, node_dist(0, vi, wj))
-        root = transport_lp(rx, ry, root_cost)
-        lp_iters += root.iterations
-        value = max(root.value, 0.0) ** (1.0 / p)
-    except _StateCapExceeded:
-        capped = True
-    finally:
-        # solve refers to itself through its closure cell; clearing the cell
-        # breaks that cycle, so memo, plans and both trees are freed on
-        # return rather than at the next full garbage collection
-        solve = None
-    if capped:
-        memo = plans = None  # not needed by the global LP below
-        rep = eps_bicausal_lp(x, y, EpsShift(0, 0.0), p, witness=witness,
-                              metric=metric)
-        rep.kind = "AW_strict"
-        rep.diagnostics["dp_fallback"] = "state cap exceeded"
-        return rep
+    for i in range(n_levels - 1, -1, -1):
+        value, plan, iters = _child_transports(x, y, i, value)
+        lp_iters += iters
+        plans[i] = plan if witness else None
+        if metric == "l1" and i:
+            value = value + (x.level_time(i) - x.level_time(i - 1)) * dist(i - 1)
+    value = max(float(value[0, 0]), 0.0) ** (1.0 / p)
 
     cpl = None
     if witness:
-        w = np.zeros((x.n_leaves, y.n_leaves))
-        # leaf index of a terminal node equals its node index
-        stack = []
-        root_plan = root.x.reshape(rx.size, ry.size)
-        for vi in range(rx.size):
-            for wj in range(ry.size):
-                if root_plan[vi, wj] > 0:
-                    stack.append((0, vi, wj, root_plan[vi, wj]))
-        while stack:
-            i, vi, wj, mass = stack.pop()
-            if i == n_levels - 1:
-                w[vi, wj] += mass
-                continue
-            plan = plans[(i, vi, wj)]
-            cx = x.children[i][vi]
-            cy = y.children[i][wj]
-            for a, c in enumerate(cx):
-                for bqi, d in enumerate(cy):
-                    if plan[a, bqi] > 0:
-                        stack.append((i + 1, c, d, mass * plan[a, bqi]))
-        cpl = Coupling(x, y, w)
+        # a leaf pair's mass is the product of the conditional plans along
+        # its ancestor pairs; leaf index of a terminal node is its node index
+        mass = np.ones((1, 1))
+        for i in range(n_levels):
+            mass = lift(mass, i) * plans[i]
+        cpl = Coupling(x, y, mass)
     return DistanceReport("AW_strict", p, value, 0, 0.0, cpl,
-                          {"lp_iterations": lp_iters, "dp_states": len(memo),
+                          {"lp_iterations": lp_iters, "dp_states": states,
                            "runtime_s": time.perf_counter() - t0},
                           metric=metric)
+
+
+def _child_transports(x, y, level, child_value):
+    """Couple the children of every parent pair of `level` (level 0 hangs
+    from one virtual root pair) at the costs `child_value`, one batch per
+    pair of child counts.  Returns the values over the parent pairs, the
+    conditional plans over the pairs at `level` and the iterations."""
+    bx, by = _sibling_blocks(x, level), _sibling_blocks(y, level)
+    values = np.empty((sum(v.size for v, _ in bx), sum(v.size for v, _ in by)))
+    plans = np.empty(child_value.shape)
+    iters = 0
+    for vx, cx in bx:
+        for vy, cy in by:
+            (nx, a), (ny, b) = cx.shape, cy.shape
+            cells = (cx[:, None, :, None], cy[None, :, None, :])
+            p = np.broadcast_to(x.probs[level][cx][:, None], (nx, ny, a))
+            q = np.broadcast_to(y.probs[level][cy], (nx, ny, b))
+            val, plan, it = transport_batch(p.reshape(-1, a), q.reshape(-1, b),
+                                            child_value[cells].reshape(-1, a, b))
+            values[np.ix_(vx, vy)] = val.reshape(nx, ny)
+            plans[cells] = plan.reshape(nx, ny, a, b)
+            iters += it
+    return values, plans, iters
+
+
+def _sibling_blocks(tree, level):
+    """(parents, children) per child count of the parents of `level`, with
+    children[r] the children of parents[r] in index order."""
+    up = tree.parents[level]
+    count = np.bincount(up)
+    first = np.cumsum(count) - count
+    order = np.argsort(up, kind="stable")
+    return [(nodes, order[first[nodes][:, None] + np.arange(count[nodes[0]])])
+            for nodes in (np.flatnonzero(count == k) for k in np.unique(count))]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +227,9 @@ def _causality_blocks(x, y, eps_steps, directions):
 
 def _constrained_lp(x, y, eps_steps, p, directions, witness, cell_cap,
                     extra=None, metric="sup"):
-    _cell_guard(x, y, cell_cap)
+    cells = x.n_leaves * y.n_leaves
+    if cells > cell_cap:
+        raise ValueError(f"leaf product {cells} exceeds LP cap {cell_cap}")
     cost = path_cost_matrix(x, y, metric) ** p
     if extra is None:
         extra = _causality_blocks(x, y, eps_steps, directions)
@@ -273,7 +249,7 @@ def eps_bicausal_lp(x: FilteredTree, y: FilteredTree, eps, p: float = 1.0,
                     metric: str = "sup") -> DistanceReport:
     """Optimal transport over eps-bicausal couplings (no shift penalty added)."""
     t0 = time.perf_counter()
-    x, y = _prepare(x, y, p)
+    x, y = _prepare(x, y, p, metric)
     if isinstance(eps, int):
         eps = EpsShift.for_grid(x.grid, eps)
     value, cpl, iters, nrows = _constrained_lp(
@@ -297,7 +273,7 @@ def _outer_minimize(x, y, p, directions, kind, penalty, use_dp, witness,
     total_iters = w_rep.diagnostics["lp_iterations"]
     for k in range(n + 1):
         et = x.grid.shift_time(k)
-        pen = penalty(et)
+        pen = float(penalty(et))
         if best is not None and w_rep.value + pen >= best.value - 1e-12:
             break
         if k == 0 and k < n - 1 and use_dp and directions == (X_TO_Y, Y_TO_X):
@@ -306,7 +282,7 @@ def _outer_minimize(x, y, p, directions, kind, penalty, use_dp, witness,
             iters, nrows = rep0.diagnostics["lp_iterations"], 0
             vacuous = False
         else:
-            extra = None if k >= n - 1 else _causality_blocks(x, y, k, directions)
+            extra = _causality_blocks(x, y, k, directions)
             if extra is None:
                 value, cpl, iters, nrows = w_rep.value, w_rep.coupling, 0, 0
                 vacuous = True
@@ -318,7 +294,8 @@ def _outer_minimize(x, y, p, directions, kind, penalty, use_dp, witness,
         total_iters += iters
         evaluated.append((k, value, pen))
         cand = DistanceReport(kind, p, value + pen, k, et, cpl,
-                              {"constraint_count": nrows}, metric=metric)
+                              {"constraint_count": nrows, "penalty": pen},
+                              metric=metric)
         if best is None or cand.value < best.value - 1e-15:
             best = cand
         if vacuous:
@@ -343,7 +320,7 @@ def aw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
     penalty exceeds the incumbent, so the scan over shifts prunes early; the
     shift-0 term is computed by the nested dynamic program when allowed.
     """
-    x, y = _prepare(x, y, p)
+    x, y = _prepare(x, y, p, metric)
     return _outer_minimize(x, y, p, (X_TO_Y, Y_TO_X), "AW", penalty,
                            use_dp, witness, cell_cap, metric=metric)
 
@@ -354,7 +331,7 @@ def cw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
        metric: str = "sup") -> DistanceReport:
     """Causal distance: couplings eps-causal from x to y, penalty added,
     minimized over shifts.  Not symmetric."""
-    x, y = _prepare(x, y, p)
+    x, y = _prepare(x, y, p, metric)
     return _outer_minimize(x, y, p, (X_TO_Y,), "CW", penalty,
                            False, witness, cell_cap, metric=metric)
 
@@ -376,6 +353,7 @@ def scw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
                           cpl,
                           {"forward": fwd.value, "backward": bwd.value,
                            "direction": X_TO_Y if top is fwd else Y_TO_X,
+                           "penalty": top.diagnostics["penalty"],
                            "lp_iterations": fwd.diagnostics["lp_iterations"]
                            + bwd.diagnostics["lp_iterations"],
                            "runtime_s": time.perf_counter() - t0},
@@ -387,7 +365,7 @@ def strict_scw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
                metric: str = "sup") -> DistanceReport:
     """Symmetrized causal distance with the shift forced to zero."""
     t0 = time.perf_counter()
-    x, y = _prepare(x, y, p)
+    x, y = _prepare(x, y, p, metric)
     vals = []
     iters = 0
     cpl = direction = None

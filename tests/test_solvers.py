@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from adapted_ot import (aw, cw, eps_bicausal_lp, figure1_pair, hellwig,
-                        hk_minimize, natural_tree, nested_bicausal,
-                        offset_rw_pair, random_tree, random_walk_tree,
-                        scw, strict_scw, tree_isomorphic, wasserstein,
-                        coarsen_filtration, TimeGrid)
+from adapted_ot import (aw, counterexample_pair, cw, eps_bicausal_lp,
+                        figure1_pair, hellwig, hk_minimize, natural_tree,
+                        nested_bicausal, offset_rw_pair, quantized_bm_tree,
+                        random_tree, random_walk_tree, scw, strict_scw,
+                        tree_isomorphic, wasserstein, coarsen_filtration,
+                        TimeGrid)
 from adapted_ot.coupling import X_TO_Y, Y_TO_X, ZERO_SHIFT, is_eps_causal
+from adapted_ot.lp import transport_lp
 from adapted_ot.solvers import DistanceReport
 from adapted_ot.trees import align
 
-from conftest import coarse_tree, deterministic_tree
+from conftest import coarse_tree, deterministic_tree, shuffled
 
 
 def test_w_fig1_is_the_gap():
@@ -67,6 +69,17 @@ def test_eps_lp_matches_nested_at_zero(rng):
         lp0 = eps_bicausal_lp(x, y, 0, witness=False).value
         dp = nested_bicausal(x, y, witness=False).value
         assert lp0 == pytest.approx(dp, abs=1e-8, rel=1e-8)
+    # multi-atom roots, uneven branching, shuffled node order, dim 2
+    for _ in range(15):
+        kw = dict(max_steps=2, root_atoms=int(rng.integers(2, 4)),
+                  branching=(1, 2, 3, 4), dim=2)
+        x, y = align(shuffled(random_tree(rng, **kw), rng),
+                     shuffled(random_tree(rng, **kw), rng))
+        for p, metric in ((1.0, "sup"), (2.0, "sup"), (1.0, "l1")):
+            lp0 = eps_bicausal_lp(x, y, 0, p, witness=False, metric=metric).value
+            rep = nested_bicausal(x, y, p, metric=metric)
+            assert lp0 == pytest.approx(rep.value, abs=1e-8, rel=1e-8)
+            assert rep.verify_witness()
 
 
 def test_eps_lp_matches_w_at_large_shift(rng):
@@ -110,6 +123,12 @@ def test_aw_penalty_hook(rng):
     heavy = aw(p, pe, penalty=lambda e: np.sqrt(e)).value
     assert heavy == pytest.approx(min(1.05, 0.1 + np.sqrt(0.5)), abs=1e-10)
     assert heavy >= base - 1e-12
+    # the witness check subtracts the penalty that was added, not the shift
+    for fn in (aw, cw, scw):
+        for a, b in ((p, pe), (pe, p)):
+            rep = fn(a, b, penalty=np.sqrt)
+            assert rep.diagnostics["penalty"] == np.sqrt(rep.epsilon_time)
+            assert rep.verify_witness(), (fn.__name__, rep.value)
 
 
 def test_mesh_bound(rng):
@@ -312,3 +331,126 @@ def test_p_below_one_rejected(fig1, p):
     for fn in calls:
         with pytest.raises(ValueError, match="p must be"):
             fn(x, y, p)
+
+
+@pytest.mark.parametrize("fn", [
+    wasserstein, nested_bicausal, aw, cw, scw, strict_scw,
+    lambda a, b, p, metric: eps_bicausal_lp(a, b, 1, p, metric=metric)])
+def test_unknown_metric_rejected(fig1, fn):
+    with pytest.raises(ValueError, match="unknown metric"):
+        fn(*fig1, 1.0, metric="bogus")
+
+
+def _recursive_nested(x, y, p, metric):
+    """Oracle: the nested DP as a recursion over node pairs, with a memo
+    keyed by (level, x-node, y-node) and an explicit stack for the witness.
+    Returns (value, witness weights, states, simplex iterations)."""
+    n_levels = x.n_levels
+    dt = np.diff(np.array((0.0,) + x.grid.times))
+    memo, plans = {}, {}
+    lp_iters = 0
+    xv, yv = x.level_values, y.level_values
+
+    def node_dist(i, vi, wj):
+        return float(np.linalg.norm(xv[i][vi] - yv[i][wj]))
+
+    def solve(i, vi, wj, m):
+        nonlocal lp_iters
+        key = (i, vi, wj)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if i == n_levels - 1:
+            val = m ** p if metric == "sup" else node_dist(i, vi, wj)
+            memo[key] = val
+            return val
+        local = dt[i] * node_dist(i, vi, wj) if metric == "l1" else 0.0
+        cx, cy = x.children[i][vi], y.children[i][wj]
+        cost = np.empty((len(cx), len(cy)))
+        for a, c in enumerate(cx):
+            for b, d in enumerate(cy):
+                mm = max(m, node_dist(i + 1, c, d)) if metric == "sup" else 0.0
+                cost[a, b] = solve(i + 1, c, d, mm)
+        res = transport_lp(x.probs[i + 1][cx], y.probs[i + 1][cy], cost)
+        lp_iters += res.iterations
+        memo[key] = res.value + local
+        plans[key] = res.x.reshape(len(cx), len(cy))
+        return memo[key]
+
+    rx, ry = x.probs[0], y.probs[0]
+    root_cost = np.empty((rx.size, ry.size))
+    for vi in range(rx.size):
+        for wj in range(ry.size):
+            root_cost[vi, wj] = solve(0, vi, wj, node_dist(0, vi, wj))
+    root = transport_lp(rx, ry, root_cost)
+    lp_iters += root.iterations
+    value = max(root.value, 0.0) ** (1.0 / p)
+
+    w = np.zeros((x.n_leaves, y.n_leaves))
+    root_plan = root.x.reshape(rx.size, ry.size)
+    stack = [(0, vi, wj, root_plan[vi, wj]) for vi in range(rx.size)
+             for wj in range(ry.size) if root_plan[vi, wj] > 0]
+    while stack:
+        i, vi, wj, mass = stack.pop()
+        if i == n_levels - 1:
+            w[vi, wj] += mass
+            continue
+        plan = plans[(i, vi, wj)]
+        for a, c in enumerate(x.children[i][vi]):
+            for b, d in enumerate(y.children[i][wj]):
+                if plan[a, b] > 0:
+                    stack.append((i + 1, c, d, mass * plan[a, b]))
+    return value, w, len(memo), lp_iters
+
+
+@pytest.mark.parametrize("p, metric", [(1.0, "sup"), (2.0, "sup"), (1.0, "l1")])
+def test_nested_equals_recursive_oracle(p, metric):
+    pairs = [figure1_pair(0.1), counterexample_pair(2, 8),
+             counterexample_pair(3, 12)]
+    pairs += [(random_walk_tree(n), quantized_bm_tree(n, 2)) for n in range(3, 7)]
+    for x, y in pairs:
+        x, y = align(x, y)
+        rep = nested_bicausal(x, y, p, metric=metric)
+        value, w, states, iters = _recursive_nested(x, y, p, metric)
+        assert rep.value == value
+        assert np.array_equal(rep.coupling.weights, w)
+        assert rep.diagnostics["dp_states"] == states
+        assert rep.diagnostics["lp_iterations"] == iters
+
+
+def test_nested_matches_recursive_oracle_on_random_pairs(rng):
+    # 3 x 3 and larger child blocks go to HiGHS; shuffled trees have
+    # siblings that are not contiguous in their level
+    for k in range(24):
+        kw = dict(root_atoms=int(rng.integers(1, 4)), branching=(1, 2, 3, 4),
+                  dim=int(rng.integers(1, 3)))
+        make = coarse_tree if k % 3 else random_tree
+        x, y = make(rng, **kw), make(rng, **kw)
+        if k % 3 == 2:
+            x, y = shuffled(x, rng), shuffled(y, rng)
+        x, y = align(x, y)
+        for p, metric in ((1.0, "sup"), (1.5, "sup"), (2.0, "sup"), (1.0, "l1")):
+            rep = nested_bicausal(x, y, p, metric=metric)
+            assert abs(rep.value - _recursive_nested(x, y, p, metric)[0]) <= 1e-12
+            assert rep.verify_witness()
+
+
+def test_state_cap_is_decided_from_the_tree_shapes():
+    # 1 + 2*2 + 4*4 + 8*8 node pairs over the four levels
+    x, y = random_walk_tree(3), quantized_bm_tree(3, 2)
+    states = 85
+    rep = nested_bicausal(x, y, state_cap=states)
+    assert "dp_fallback" not in rep.diagnostics
+    assert rep.diagnostics["dp_states"] == states
+    capped = nested_bicausal(x, y, state_cap=states - 1)
+    assert capped.diagnostics["dp_fallback"] == "state cap exceeded"
+    assert capped.value == pytest.approx(rep.value, abs=1e-12)
+    assert capped.verify_witness()
+
+
+def test_default_state_cap_admits_rw11_bm11():
+    # 5,592,405 node pairs
+    rep = nested_bicausal(random_walk_tree(11), quantized_bm_tree(11, 2),
+                          witness=False)
+    assert "dp_fallback" not in rep.diagnostics
+    assert rep.diagnostics["dp_states"] == 5_592_405
