@@ -1,12 +1,11 @@
-"""Couplings of two scenario trees and eps-causality constraint generation.
+"""Couplings of two scenario trees and eps-causality.
 
-A coupling is a joint weight matrix over leaf pairs.  Causality from X to Y
-within a shift of k grid levels means: for every grid time t_i before the
-horizon, the root time t_0 included, the time-t_i atoms of Y are
-conditionally independent of the X-leaves given X's atoms at level
-min(i+k, N).  On finite trees this is a finite family of
-linear equality rows over the coupling entries (test functions are atom
-indicators; that spans all bounded measurables).
+A coupling is a joint weight matrix over leaf pairs.  It is causal from X to
+Y within a shift of k grid levels when, at every constraint time t_i
+(`_constraint_levels`), Y's time-t_i atoms are conditionally independent of
+the X-leaves given X's atoms at level min(i+k, N).  `is_eps_causal` checks
+that from masses summed per atom; `causality_constraints` writes it as dense
+LP rows (atom indicators as test functions span all bounded measurables).
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ class Coupling:
         return float(max(r, c))
 
     def check(self, tol: float = MARGINAL_TOL) -> None:
-        if (self.weights < -tol).any():
-            raise ValueError("negative coupling weight")
+        if not np.isfinite(self.weights).all() or (self.weights < -tol).any():
+            raise ValueError("negative or non-finite coupling weight")
         err = self.marginal_error()
         if err > tol:
             raise ValueError(f"coupling marginals off by {err:.3e}")
@@ -88,72 +87,85 @@ def _require_same_grid(x: FilteredTree, y: FilteredTree):
         raise ValueError("trees must share a grid (align them first)")
 
 
-def causality_constraints(x: FilteredTree, y: FilteredTree, eps_steps: int,
-                          direction: str = X_TO_Y,
-                          drop_redundant: bool = True) -> np.ndarray:
-    """Equality rows (over the flattened coupling, row-major x-leaf major)
-    expressing eps-causality in the given direction.
+def _constraint_levels(target: FilteredTree, eps_steps: int):
+    """Per constraint time t_i of causality toward `target`, the levels
+    (i, min(i + eps_steps, N)) of the target's and the source's atoms.  The
+    constraint times are the grid times before the horizon, and the root time
+    when the target's root holds several atoms (with one atom its rows would
+    repeat the marginals)."""
+    n = target.grid.n_steps
+    for i in range(0 if len(target.levels[0]) > 1 else 1, n):
+        yield i, min(i + eps_steps, n)
 
-    With drop_redundant, one leaf per conditioning atom and one target atom
-    per time are omitted; those rows are implied by the marginal equations.
-    Rows with identically zero coefficients (single-leaf atoms, saturated
-    shifts) never appear, so a deterministic source yields no rows and
-    eps_steps >= N yields no rows.  Level 0 has rows only when Y's root holds
-    several atoms; with one root atom they would repeat the marginals.
-    """
+
+def _atom_sums(a: np.ndarray, atom: np.ndarray) -> np.ndarray:
+    """Sums of the rows of `a` over the leaves of each atom, in O(a.size).
+    Every atom id up to atom.max() must hold a leaf, as in a valid tree."""
+    counts = np.bincount(atom)
+    return np.add.reduceat(a[np.argsort(atom, kind="stable")],
+                           np.cumsum(counts) - counts)
+
+
+def causality_constraints(x: FilteredTree, y: FilteredTree, eps_steps: int,
+                          direction: str = X_TO_Y) -> np.ndarray:
+    """Dense equality rows for the LP (over the flattened coupling, row-major
+    x-leaf major) expressing eps-causality in the given direction: per
+    constraint time, (1_l - P(l | a) 1_a) outer 1_v for x-leaf l in atom a
+    and y-atom v.  The last leaf of each atom, and the last y-atom of a time
+    with several, are left out, as the marginals imply their rows;
+    single-leaf atoms give none."""
     _require_same_grid(x, y)
+    nx, ny = x.n_leaves, y.n_leaves
     if direction == Y_TO_X:
-        rows = causality_constraints(y, x, eps_steps, X_TO_Y, drop_redundant)
-        if rows.shape[0] == 0:
-            return np.zeros((0, x.n_leaves * y.n_leaves))
         # generated over (y-leaf, x-leaf) cells; transpose the cell layout
-        nx, ny = x.n_leaves, y.n_leaves
+        rows = causality_constraints(y, x, eps_steps)
         return rows.reshape(-1, ny, nx).transpose(0, 2, 1).reshape(-1, nx * ny)
     if direction != X_TO_Y:
         raise ValueError("direction must be 'x_to_y' or 'y_to_x'")
-
-    nx, ny = x.n_leaves, y.n_leaves
-    n_grid = x.grid.n_steps
-    rows = []
     px = x.leaf_probs
-    for i in range(0 if len(y.levels[0]) > 1 else 1, n_grid):
-        shift_level = min(i + eps_steps, n_grid)
-        anc_x = x.ancestors[shift_level]
-        anc_y = y.ancestors[i]
-        n_atoms_y = len(y.levels[i])
-        y_limit = n_atoms_y - 1 if (drop_redundant and n_atoms_y > 1) else n_atoms_y
-        for a in np.flatnonzero(np.bincount(anc_x) >= 2):
-            leaves = np.nonzero(anc_x == a)[0]
-            mass = px[leaves].sum()
-            limit = leaves.size - 1 if drop_redundant else leaves.size
-            for li in range(limit):
-                # coefficient of 1_l - P(l | atom) 1_atom on the x side
-                xvec = np.zeros(nx)
-                xvec[leaves] = -px[leaves[li]] / mass
-                xvec[leaves[li]] += 1.0
-                for v in range(y_limit):
-                    yvec = (anc_y == v).astype(float)
-                    rows.append(np.outer(xvec, yvec).ravel())
-    if not rows:
-        return np.zeros((0, nx * ny))
-    return np.array(rows)
+    blocks = [np.zeros((0, nx * ny))]
+    for i, j in _constraint_levels(y, eps_steps):
+        ax, ay = x.ancestors[j], y.ancestors[i]
+        atoms = np.split(np.argsort(ax, kind="stable"),
+                         np.cumsum(np.bincount(ax))[:-1])
+        mass = np.array([px[leaves].sum() for leaves in atoms])
+        src = np.concatenate([leaves[:-1] for leaves in atoms])
+        # x side of each row: 1_l - P(l | a) 1_a for leaf l of atom a
+        coef = np.where(ax == ax[src, None],
+                        -px[src, None] / mass[ax[src], None], 0.0)
+        coef[np.arange(src.size), src] += 1.0
+        ind = (ay == np.arange(max(ay.max(), 1))[:, None]).astype(float)
+        blocks.append((coef[:, None, :, None] * ind[None, :, None, :])
+                      .reshape(-1, nx * ny))
+    return np.concatenate(blocks)
 
 
 def is_eps_causal(pi: Coupling, eps: EpsShift, direction: str = X_TO_Y,
                   tol: float = CAUSAL_TOL):
-    """(holds, max violation) of all eps-causality rows in one direction."""
-    rows = causality_constraints(pi.left, pi.right, eps.steps, direction,
-                                 drop_redundant=False)
-    if rows.shape[0] == 0:
-        return True, 0.0
-    v = float(np.abs(rows @ pi.weights.ravel()).max())
-    return v <= tol, v
+    """(holds, max violation) of eps-causality in one direction: the largest
+    |joint[l, v] - P(l | a) joint[a, v]| over the constraint times, source
+    leaves l in atoms a and target atoms v; O(cells) per time, no rows."""
+    _require_same_grid(pi.left, pi.right)
+    w, x, y = pi.weights, pi.left, pi.right
+    if direction == Y_TO_X:
+        w, x, y = w.T, y, x
+    elif direction != X_TO_Y:
+        raise ValueError("direction must be 'x_to_y' or 'y_to_x'")
+    px = x.leaf_probs
+    worst = 0.0
+    for i, j in _constraint_levels(y, eps.steps):
+        ax, ay = x.ancestors[j], y.ancestors[i]
+        joint = _atom_sums(w.T, ay).T  # joint[l, v]: mass of leaf l and atom v
+        cond = px / _atom_sums(px, ax)[ax]
+        resid = joint - cond[:, None] * _atom_sums(joint, ax)[ax]
+        worst = np.maximum(worst, np.abs(resid).max())  # keeps a NaN
+    return bool(worst <= tol), float(worst)
 
 
 def is_eps_bicausal(pi: Coupling, eps: EpsShift, tol: float = CAUSAL_TOL):
     ok1, v1 = is_eps_causal(pi, eps, X_TO_Y, tol)
     ok2, v2 = is_eps_causal(pi, eps, Y_TO_X, tol)
-    return ok1 and ok2, max(v1, v2)
+    return ok1 and ok2, float(np.maximum(v1, v2))
 
 
 def glue(pi: Coupling, rho: Coupling) -> Coupling:
@@ -202,8 +214,8 @@ def path_cost_matrix(x: FilteredTree, y: FilteredTree, metric: str = "sup") -> n
 
 def transport_cost(pi: Coupling, p: float = 1.0, metric: str = "sup") -> float:
     """E_pi[d(X,Y)^p]^(1/p) for the chosen path metric."""
-    if p < 1:
-        raise ValueError("order must be >= 1")
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
     c = path_cost_matrix(pi.left, pi.right, metric)
     val = float((pi.weights * c ** p).sum())
     return val ** (1.0 / p)

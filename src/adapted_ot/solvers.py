@@ -20,9 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _path_distances,
-                       causality_constraints, is_eps_bicausal, is_eps_causal,
-                       path_cost_matrix, transport_cost)
+from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _constraint_levels,
+                       _path_distances, causality_constraints, is_eps_bicausal,
+                       is_eps_causal, path_cost_matrix, transport_cost)
 from .lp import LPError, transport_batch, transport_lp
 from .prediction import rank1_conditional_laws
 from .trees import FilteredTree, align, check_valid, law, _path_ids
@@ -225,6 +225,15 @@ def _causality_blocks(x, y, eps_steps, directions):
     return np.vstack(nonempty) if nonempty else None
 
 
+def _shift_time(x, y, steps, directions) -> float:
+    """Real time delay of a shift of `steps` levels: the largest t_j - t_i
+    over the constraint levels (i, j) of `directions`."""
+    t = x.grid.level_time
+    return max((t(j) - t(i) for d in directions
+                for i, j in _constraint_levels(y if d == X_TO_Y else x, steps)),
+               default=0.0)
+
+
 def _constrained_lp(x, y, eps_steps, p, directions, witness, cell_cap,
                     extra=None, metric="sup"):
     cells = x.n_leaves * y.n_leaves
@@ -251,7 +260,7 @@ def eps_bicausal_lp(x: FilteredTree, y: FilteredTree, eps, p: float = 1.0,
     t0 = time.perf_counter()
     x, y = _prepare(x, y, p, metric)
     if isinstance(eps, int):
-        eps = EpsShift.for_grid(x.grid, eps)
+        eps = EpsShift(eps, _shift_time(x, y, eps, (X_TO_Y, Y_TO_X)))
     value, cpl, iters, nrows = _constrained_lp(
         x, y, eps.steps, p, (X_TO_Y, Y_TO_X), witness, cell_cap, metric=metric)
     return DistanceReport("AW_eps", p, value, eps.steps, eps.epsilon_time, cpl,
@@ -272,7 +281,7 @@ def _outer_minimize(x, y, p, directions, kind, penalty, use_dp, witness,
     evaluated = []
     total_iters = w_rep.diagnostics["lp_iterations"]
     for k in range(n + 1):
-        et = x.grid.shift_time(k)
+        et = _shift_time(x, y, k, directions)
         pen = float(penalty(et))
         if best is not None and w_rep.value + pen >= best.value - 1e-12:
             break

@@ -262,18 +262,6 @@ class TransferFamily:
                 for _, _, times in self.plateaus]
         return float(min(vals))
 
-    def measurability_error(self) -> float:
-        """Stop times must be constant on the information atom that is
-        current when they fire; positive error flags a non-causal coupling."""
-        worst = 0.0
-        for _, _, times in self.plateaus:
-            for k in range(self.tree.n_leaves):
-                lev = self.tree.grid.floor_level(times[k])
-                node = self.tree.ancestors[lev][k]
-                sibs = self.tree.leaves_under(lev, node)
-                worst = max(worst, float(np.abs(times[sibs] - times[k]).max()))
-        return worst
-
 
 def transfer_stopping_time(pi: Coupling, eps: EpsShift, tau: StoppingRule,
                            check: bool = True) -> TransferFamily:

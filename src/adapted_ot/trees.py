@@ -130,17 +130,14 @@ class TimeGrid:
         raise ValueError(f"time {t} not on grid")
 
     def shift_time(self, steps: int) -> float:
-        """Real time penalty of delaying information by `steps` grid levels.
-
-        Smallest eps such that level min(i+steps, N) is reached from every
-        interior constraint time t_i within t_i + eps.  Zero for steps=0 and
-        for grids with no interior times.
-        """
-        if steps <= 0 or self.n_steps <= 1:
+        """Real time penalty of delaying information by `steps` grid levels:
+        the largest t_{min(i+steps, N)} - t_i over the interior times t_i.
+        The distances also count the root time when a root holds several
+        atoms (`coupling._constraint_levels`)."""
+        if steps <= 0:
             return 0.0
-        n = self.n_steps
-        full = (0.0,) + self.times
-        return max(full[min(i + steps, n)] - full[i] for i in range(1, n))
+        n, t = self.n_steps, self.level_time
+        return max((t(min(i + steps, n)) - t(i) for i in range(1, n)), default=0.0)
 
 
 @dataclass(frozen=True)

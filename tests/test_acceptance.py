@@ -322,6 +322,7 @@ def test_criterion_10_counterexample_e1():
 
 # -- 11 ---------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_11_donsker_rate():
     t0 = time.perf_counter()
     ns = [2 ** k for k in range(6, 13)]
@@ -346,6 +347,7 @@ def test_criterion_11_donsker_rate():
 
 # -- 12 ---------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_12_euler_rate():
     t0 = time.perf_counter()
     ns = [2 ** k for k in range(4, 11)]

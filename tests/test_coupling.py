@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from adapted_ot import (Coupling, EpsShift, ZERO_SHIFT, X_TO_Y, Y_TO_X,
-                        causality_constraints, glue, identity_coupling,
-                        is_eps_bicausal, is_eps_causal, natural_tree,
-                        is_naturally_filtered, product_coupling, random_tree,
-                        transport_cost, eps_bicausal_lp)
-from conftest import coarse_tree, deterministic_tree
+                        causality_constraints, counterexample_pair, glue,
+                        identity_coupling, is_eps_bicausal, is_eps_causal,
+                        natural_tree, is_naturally_filtered, nested_bicausal,
+                        product_coupling, quantized_bm_tree, random_tree,
+                        random_walk_tree, transport_cost, eps_bicausal_lp,
+                        wasserstein)
+from adapted_ot.trees import align
+from conftest import coarse_tree, deterministic_tree, shuffled
 
 
 def comonotone_fig1(fig1):
@@ -223,3 +226,129 @@ def test_identity_on_paths_coupling_with_natural_tree(rng):
         assert ok_fwd, viol
         ok_rev, _ = is_eps_causal(pi, ZERO_SHIFT, Y_TO_X)
         assert ok_rev == is_naturally_filtered(y)
+
+
+def _loop_rows(x, y, eps_steps, direction=X_TO_Y, drop_redundant=True):
+    """Oracle: the former row builder, one dense row per (leaf, atom) pair
+    built in Python loops.  Without drop_redundant it keeps every leaf of
+    each conditioning atom and every target atom."""
+    if direction == Y_TO_X:
+        rows = _loop_rows(y, x, eps_steps, X_TO_Y, drop_redundant)
+        nx, ny = x.n_leaves, y.n_leaves
+        return rows.reshape(-1, ny, nx).transpose(0, 2, 1).reshape(-1, nx * ny)
+    nx, ny = x.n_leaves, y.n_leaves
+    n_grid = x.grid.n_steps
+    rows = []
+    px = x.leaf_probs
+    for i in range(0 if len(y.levels[0]) > 1 else 1, n_grid):
+        shift_level = min(i + eps_steps, n_grid)
+        anc_x = x.ancestors[shift_level]
+        anc_y = y.ancestors[i]
+        n_atoms_y = len(y.levels[i])
+        y_limit = n_atoms_y - 1 if (drop_redundant and n_atoms_y > 1) else n_atoms_y
+        for a in np.flatnonzero(np.bincount(anc_x) >= 2):
+            leaves = np.nonzero(anc_x == a)[0]
+            mass = px[leaves].sum()
+            limit = leaves.size - 1 if drop_redundant else leaves.size
+            for li in range(limit):
+                xvec = np.zeros(nx)
+                xvec[leaves] = -px[leaves[li]] / mass
+                xvec[leaves[li]] += 1.0
+                for v in range(y_limit):
+                    yvec = (anc_y == v).astype(float)
+                    rows.append(np.outer(xvec, yvec).ravel())
+    if not rows:
+        return np.zeros((0, nx * ny))
+    return np.array(rows)
+
+
+def _oracle_pairs(rng, count):
+    """Random, coarse and shuffled coarse pairs with 1-3 root atoms."""
+    for k in range(count):
+        kw = dict(root_atoms=int(rng.integers(1, 4)), max_steps=3)
+        make = coarse_tree if k % 3 else random_tree
+        x, y = make(rng, **kw), make(rng, **kw)
+        if k % 3 == 2:
+            x, y = shuffled(x, rng), shuffled(y, rng)
+        yield align(x, y)
+
+
+def test_rows_match_loop_oracle(rng):
+    # the counterexample pair has atoms of 8 or more leaves, whose masses a
+    # pairwise sum and a running sum can round differently
+    cases = 0
+    for x, y in [align(*counterexample_pair(3, 12)), *_oracle_pairs(rng, 45)]:
+        for k in range(x.grid.n_steps + 1):
+            for d in (X_TO_Y, Y_TO_X):
+                rows, want = causality_constraints(x, y, k, d), _loop_rows(x, y, k, d)
+                assert rows.shape == want.shape
+                assert rows.tobytes() == want.tobytes()
+                cases += want.shape[0] > 0
+    assert cases > 50
+
+
+def test_check_matches_loop_oracle(rng):
+    for x, y in _oracle_pairs(rng, 45):
+        for k in range(x.grid.n_steps + 1):
+            witness = eps_bicausal_lp(x, y, k).coupling.weights
+            plans = [witness, product_coupling(x, y).weights]
+            # move mass around a 2 x 2 cycle of the product: marginals stay
+            w = plans[1].copy()
+            (a, b), (c, e) = rng.choice(x.n_leaves, 2), rng.choice(y.n_leaves, 2)
+            if a != b and c != e:
+                delta = 0.5 * min(w[a, e], w[b, c])
+                w[a, c] += delta
+                w[b, e] += delta
+                w[a, e] -= delta
+                w[b, c] -= delta
+                plans.append(w)
+            for d in (X_TO_Y, Y_TO_X):
+                full = _loop_rows(x, y, k, d, drop_redundant=False)
+                for w in plans:
+                    want = float(np.abs(full @ w.ravel()).max()) if full.size else 0.0
+                    ok, got = is_eps_causal(Coupling(x, y, w), EpsShift(k, 0.0), d)
+                    assert abs(got - want) <= 1e-14
+                    assert ok == (want <= 1e-9)
+
+
+def test_check_rejects_one_cycle_on_a_256_leaf_witness():
+    # the dense rows of this check would need tens of GB
+    rep = nested_bicausal(random_walk_tree(8), quantized_bm_tree(8, 2))
+    assert rep.verify_witness()
+    x, y, w = rep.coupling.left, rep.coupling.right, rep.coupling.weights.copy()
+    # each x-leaf has one partner, and the partners of sibling x-leaves share
+    # every ancestor, so the cycle runs through x-leaves a, b whose partners
+    # c, e lie in different level-1 atoms
+    assert ((w > 0).sum(axis=1) == 1).all()
+    level1 = y.ancestors[1]
+    partner = w.argmax(axis=1)
+    a, c = 0, partner[0]
+    b = int(np.flatnonzero(level1[partner] != level1[c])[0])
+    e = partner[b]
+    delta = 1e-6
+    w[a, c] -= delta
+    w[b, e] -= delta
+    w[a, e] += delta
+    w[b, c] += delta
+    bad = Coupling(x, y, w)
+    bad.check()
+    assert is_eps_causal(bad, ZERO_SHIFT, X_TO_Y)[1] >= 0.5 * delta
+    # the value matches, so only the causality check can refuse the witness
+    rep.coupling, rep.value = bad, transport_cost(bad, rep.p, rep.metric)
+    assert not rep.verify_witness()
+
+
+def test_check_rejects_non_finite_weights(fig1):
+    rep = wasserstein(*fig1)
+    rep.coupling.weights[0, 0] = np.nan
+    assert not is_eps_bicausal(rep.coupling, ZERO_SHIFT)[0]
+    with pytest.raises(ValueError, match="non-finite"):
+        rep.coupling.check()
+    with pytest.raises(ValueError, match="non-finite"):
+        rep.verify_witness()
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, 0.5])
+def test_transport_cost_rejects_bad_order(fig1, p):
+    with pytest.raises(ValueError, match="p must be"):
+        transport_cost(product_coupling(*fig1), p)

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from adapted_ot import (aw, counterexample_pair, cw, eps_bicausal_lp,
-                        figure1_pair, hellwig, hk_minimize, natural_tree,
-                        nested_bicausal, offset_rw_pair, quantized_bm_tree,
-                        random_tree, random_walk_tree, scw, strict_scw,
-                        tree_isomorphic, wasserstein, coarsen_filtration,
-                        TimeGrid)
+from adapted_ot import (FilteredTree, Node, aw, counterexample_pair, cw,
+                        eps_bicausal_lp, figure1_pair, hellwig, hk_minimize,
+                        natural_tree, nested_bicausal, offset_rw_pair,
+                        quantized_bm_tree, random_tree, random_walk_tree, scw,
+                        strict_scw, tree_isomorphic, wasserstein,
+                        coarsen_filtration, TimeGrid)
 from adapted_ot.coupling import X_TO_Y, Y_TO_X, ZERO_SHIFT, is_eps_causal
 from adapted_ot.lp import transport_lp
 from adapted_ot.solvers import DistanceReport
-from adapted_ot.trees import align
+from adapted_ot.trees import align, regrid
 
 from conftest import coarse_tree, deterministic_tree, shuffled
 
@@ -454,3 +454,26 @@ def test_default_state_cap_admits_rw11_bm11():
                           witness=False)
     assert "dp_fallback" not in rep.diagnostics
     assert rep.diagnostics["dp_states"] == 5_592_405
+
+
+def test_shift_price_counts_the_root_time_of_a_multi_atom_root():
+    # X's two root atoms fix the next value; Y tosses a fair coin after its root
+    g = TimeGrid((1.0,))
+    x = FilteredTree(g, ((Node(None, 0.5, (0.0,)), Node(None, 0.5, (0.0,))),
+                         (Node(0, 1.0, (1.0,)), Node(1, 1.0, (-1.0,)))))
+    y = FilteredTree(g, ((Node(None, 1.0, (0.0,)),),
+                         (Node(0, 0.5, (1.0,)), Node(0, 0.5, (-1.0,)))))
+    assert nested_bicausal(x, y).value == pytest.approx(1.0, abs=1e-12)
+    # shift 1 lifts every row but delays X's root information by t_1 = 1
+    for rep in (aw(x, y), aw(y, x), cw(y, x), scw(x, y), scw(y, x)):
+        assert rep.value == pytest.approx(1.0, abs=1e-12)
+        assert rep.verify_witness()
+    # toward Y, whose root holds one atom, there is no constraint time
+    assert cw(x, y).value == pytest.approx(0.0, abs=1e-12)
+    assert eps_bicausal_lp(x, y, 1).epsilon_time == 1.0
+    # on a non-uniform grid the root delay t_k exceeds every interior delay
+    g3 = TimeGrid((0.8, 0.9, 1.0))
+    assert g3.shift_time(1) == pytest.approx(0.1)
+    x3, y3 = regrid(x, g3), regrid(y, g3)
+    assert eps_bicausal_lp(x3, y3, 1).epsilon_time == pytest.approx(0.8)
+    assert eps_bicausal_lp(x3, y3, 2).epsilon_time == pytest.approx(0.9)
