@@ -186,14 +186,20 @@ def glue(pi: Coupling, rho: Coupling) -> Coupling:
 def _path_distances(a: np.ndarray, b: np.ndarray, grid: TimeGrid,
                     metric: str) -> np.ndarray:
     """Pairwise distances between the value paths a (m, levels, dim) and
-    b (n, levels, dim) on `grid`; see path_cost_matrix for the metrics."""
-    dist = np.linalg.norm(a[:, None, :, :] - b[None, :, :, :], axis=-1)
-    if metric == "sup":
-        return dist.max(axis=-1)
-    if metric == "l1":
-        dt = np.diff(np.array((0.0,) + grid.times))
-        return dist[:, :, :-1] @ dt + dist[:, :, -1]
-    raise ValueError(f"unknown metric {metric!r}")
+    b (n, levels, dim) on `grid`; see path_cost_matrix for the metrics.
+    Accumulated one level at a time, so memory stays O(m n dim)."""
+    if metric not in ("sup", "l1"):
+        raise ValueError(f"unknown metric {metric!r}")
+    # l1 weighs level i by t_{i+1} - t_i and the terminal level by 1
+    dt = np.append(np.diff((0.0,) + grid.times), 1.0)
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for i in range(a.shape[1]):
+        dist = np.linalg.norm(a[:, None, i] - b[None, :, i], axis=-1)
+        if metric == "sup":
+            np.maximum(out, dist, out=out)
+        else:
+            out += dt[i] * dist
+    return out
 
 
 def path_cost_matrix(x: FilteredTree, y: FilteredTree, metric: str = "sup") -> np.ndarray:

@@ -14,6 +14,8 @@ is why leaf products are capped.
 
 from __future__ import annotations
 
+import functools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -234,14 +236,11 @@ def _shift_time(x, y, steps, directions) -> float:
                default=0.0)
 
 
-def _constrained_lp(x, y, eps_steps, p, directions, witness, cell_cap,
-                    extra=None, metric="sup"):
+def _constrained_lp(x, y, p, extra, witness, metric):
     cells = x.n_leaves * y.n_leaves
-    if cells > cell_cap:
-        raise ValueError(f"leaf product {cells} exceeds LP cap {cell_cap}")
+    if cells > DEFAULT_CELL_CAP:
+        raise ValueError(f"leaf product {cells} exceeds LP cap {DEFAULT_CELL_CAP}")
     cost = path_cost_matrix(x, y, metric) ** p
-    if extra is None:
-        extra = _causality_blocks(x, y, eps_steps, directions)
     rhs = np.zeros(extra.shape[0]) if extra is not None else None
     res = transport_lp(x.leaf_probs, y.leaf_probs, cost, extra, rhs)
     if res.status != "optimal":
@@ -254,143 +253,141 @@ def _constrained_lp(x, y, eps_steps, p, directions, witness, cell_cap,
 
 
 def eps_bicausal_lp(x: FilteredTree, y: FilteredTree, eps, p: float = 1.0,
-                    witness: bool = True, cell_cap: int = DEFAULT_CELL_CAP,
-                    metric: str = "sup") -> DistanceReport:
-    """Optimal transport over eps-bicausal couplings (no shift penalty added)."""
+                    witness: bool = True, metric: str = "sup") -> DistanceReport:
+    """Optimal transport over eps-bicausal couplings (no shift penalty added).
+    `eps` is an EpsShift or a whole number of grid steps."""
     t0 = time.perf_counter()
     x, y = _prepare(x, y, p, metric)
-    if isinstance(eps, int):
-        eps = EpsShift(eps, _shift_time(x, y, eps, (X_TO_Y, Y_TO_X)))
-    value, cpl, iters, nrows = _constrained_lp(
-        x, y, eps.steps, p, (X_TO_Y, Y_TO_X), witness, cell_cap, metric=metric)
+    if not isinstance(eps, EpsShift):
+        try:
+            k = EpsShift(operator.index(eps), 0.0).steps  # rejects k < 0
+        except TypeError:
+            raise ValueError(f"eps must be an integer or an EpsShift, "
+                             f"got {eps!r}") from None
+        eps = EpsShift(k, _shift_time(x, y, k, (X_TO_Y, Y_TO_X)))
+    extra = _causality_blocks(x, y, eps.steps, (X_TO_Y, Y_TO_X))
+    value, cpl, iters, nrows = _constrained_lp(x, y, p, extra, witness, metric)
     return DistanceReport("AW_eps", p, value, eps.steps, eps.epsilon_time, cpl,
                           {"lp_iterations": iters, "constraint_count": nrows,
                            "runtime_s": time.perf_counter() - t0},
                           metric=metric)
 
 
-def _outer_minimize(x, y, p, directions, kind, penalty, use_dp, witness,
-                    cell_cap, metric="sup"):
-    """min over whole-grid shifts k of (constrained LP value + penalty(shift))."""
+def _lazy_wasserstein(x, y, p, witness, metric):
+    """W for (x, y), solved on the first call only."""
+    return functools.cache(
+        lambda: wasserstein(x, y, p, metric=metric, witness=witness))
+
+
+def _scan(x, y, p, directions, kind, penalty, last_shift, witness, metric, w):
+    """min over the shifts k = 0..last_shift of (transport under the
+    causality rows of `directions` at k) + penalty(time of the shift).
+
+    Once W + penalty reaches the incumbent no larger shift can win, so the
+    scan stops; it also stops at the first shift whose rows the marginals
+    imply, which takes W's value and witness.  `w` gives W for (x, y) and
+    may be shared between scans; its iterations count in the scan that
+    solves it.  With both directions and more than one step, shift 0 is the
+    nested DP."""
     t0 = time.perf_counter()
-    if penalty is None:
-        penalty = lambda e: e
-    n = x.grid.n_steps
-    w_rep = wasserstein(x, y, p, metric=metric, witness=witness)
-    best = None
-    evaluated = []
-    total_iters = w_rep.diagnostics["lp_iterations"]
-    for k in range(n + 1):
+    best, evaluated, iters = None, [], 0
+    w_solved = w.cache_info().currsize
+    for k in range(last_shift + 1):
         et = _shift_time(x, y, k, directions)
-        pen = float(penalty(et))
-        if best is not None and w_rep.value + pen >= best.value - 1e-12:
+        pen = float(et if penalty is None else penalty(et))
+        if not 0.0 <= pen < np.inf:
+            raise ValueError(f"penalty must be finite and nonnegative, got "
+                             f"{pen!r} at shift time {et!r}")
+        if best is not None and w().value + pen >= best.value - 1e-12:
             break
-        if k == 0 and k < n - 1 and use_dp and directions == (X_TO_Y, Y_TO_X):
-            rep0 = nested_bicausal(x, y, p, witness=witness, metric=metric)
-            value, cpl = rep0.value, rep0.coupling
-            iters, nrows = rep0.diagnostics["lp_iterations"], 0
-            vacuous = False
+        dp = k == 0 and x.grid.n_steps > 1 and directions == (X_TO_Y, Y_TO_X)
+        extra = None if dp else _causality_blocks(x, y, k, directions)
+        if dp:
+            rep = nested_bicausal(x, y, p, witness=witness, metric=metric)
+            value, cpl, it, nrows = (rep.value, rep.coupling,
+                                     rep.diagnostics["lp_iterations"], 0)
+        elif extra is None:
+            value, cpl, it, nrows = w().value, w().coupling, 0, 0
         else:
-            extra = _causality_blocks(x, y, k, directions)
-            if extra is None:
-                value, cpl, iters, nrows = w_rep.value, w_rep.coupling, 0, 0
-                vacuous = True
-            else:
-                value, cpl, iters, nrows = _constrained_lp(
-                    x, y, k, p, directions, witness, cell_cap, extra=extra,
-                    metric=metric)
-                vacuous = False
-        total_iters += iters
+            value, cpl, it, nrows = _constrained_lp(x, y, p, extra, witness,
+                                                    metric)
+        iters += it
         evaluated.append((k, value, pen))
-        cand = DistanceReport(kind, p, value + pen, k, et, cpl,
-                              {"constraint_count": nrows, "penalty": pen},
-                              metric=metric)
-        if best is None or cand.value < best.value - 1e-15:
-            best = cand
-        if vacuous:
+        if best is None or value + pen < best.value - 1e-15:
+            best = DistanceReport(kind, p, value + pen, k, et, cpl,
+                                  {"constraint_count": nrows, "penalty": pen},
+                                  metric=metric)
+        if not dp and extra is None:
             break
-    best.diagnostics.update({
-        "lp_iterations": total_iters,
-        "evaluated_shifts": evaluated,
-        "runtime_s": time.perf_counter() - t0,
-    })
+    if w.cache_info().currsize > w_solved:
+        iters += w().diagnostics["lp_iterations"]
+    best.diagnostics.update({"lp_iterations": iters,
+                             "evaluated_shifts": evaluated,
+                             "runtime_s": time.perf_counter() - t0})
     return best
+
+
+def _symmetrized(x, y, p, kind, penalty, last_shift, witness, metric):
+    """The larger of the x-to-y and y-to-x scans over one (x, y) pair and
+    one W, ties going to x to y; both witnesses run from x to y."""
+    t0 = time.perf_counter()
+    w = _lazy_wasserstein(x, y, p, witness, metric)
+    fwd, bwd = (_scan(x, y, p, (d,), kind, penalty, last_shift, witness,
+                      metric, w) for d in (X_TO_Y, Y_TO_X))
+    top = fwd if fwd.value >= bwd.value else bwd
+    top.diagnostics.update({
+        "forward": fwd.value, "backward": bwd.value,
+        "direction": X_TO_Y if top is fwd else Y_TO_X,
+        "lp_iterations": fwd.diagnostics["lp_iterations"]
+        + bwd.diagnostics["lp_iterations"],
+        "evaluated_shifts": fwd.diagnostics["evaluated_shifts"]
+        + bwd.diagnostics["evaluated_shifts"],
+        "runtime_s": time.perf_counter() - t0})
+    return top
 
 
 def aw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
        penalty: Optional[Callable[[float], float]] = None,
-       use_dp: bool = True, witness: bool = True,
-       cell_cap: int = DEFAULT_CELL_CAP, metric: str = "sup") -> DistanceReport:
+       witness: bool = True, metric: str = "sup") -> DistanceReport:
     """Adapted Wasserstein distance: transport over eps-bicausal couplings
     plus the (by default identity) penalty of the information shift,
     minimized over whole-grid shifts.
 
     Shifts larger than needed cannot help once the unconstrained optimum plus
     penalty exceeds the incumbent, so the scan over shifts prunes early; the
-    shift-0 term is computed by the nested dynamic program when allowed.
+    shift-0 term comes from the nested dynamic program on grids of more
+    than one step.
     """
     x, y = _prepare(x, y, p, metric)
-    return _outer_minimize(x, y, p, (X_TO_Y, Y_TO_X), "AW", penalty,
-                           use_dp, witness, cell_cap, metric=metric)
+    return _scan(x, y, p, (X_TO_Y, Y_TO_X), "AW", penalty, x.grid.n_steps,
+                 witness, metric, _lazy_wasserstein(x, y, p, witness, metric))
 
 
 def cw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
        penalty: Optional[Callable[[float], float]] = None,
-       witness: bool = True, cell_cap: int = DEFAULT_CELL_CAP,
-       metric: str = "sup") -> DistanceReport:
+       witness: bool = True, metric: str = "sup") -> DistanceReport:
     """Causal distance: couplings eps-causal from x to y, penalty added,
     minimized over shifts.  Not symmetric."""
     x, y = _prepare(x, y, p, metric)
-    return _outer_minimize(x, y, p, (X_TO_Y,), "CW", penalty,
-                           False, witness, cell_cap, metric=metric)
+    return _scan(x, y, p, (X_TO_Y,), "CW", penalty, x.grid.n_steps, witness,
+                 metric, _lazy_wasserstein(x, y, p, witness, metric))
 
 
 def scw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
         penalty: Optional[Callable[[float], float]] = None,
-        witness: bool = True, cell_cap: int = DEFAULT_CELL_CAP,
-        metric: str = "sup") -> DistanceReport:
-    """Symmetrized causal distance: max of the two directed causal distances.
-    A backward witness is transposed, so the coupling runs from x to y."""
-    t0 = time.perf_counter()
-    fwd = cw(x, y, p, penalty, witness, cell_cap, metric)
-    bwd = cw(y, x, p, penalty, witness, cell_cap, metric)
-    top = fwd if fwd.value >= bwd.value else bwd
-    cpl = top.coupling
-    if top is bwd and cpl is not None:
-        cpl = Coupling(cpl.right, cpl.left, cpl.weights.T)
-    return DistanceReport("SCW", p, top.value, top.eps_steps, top.epsilon_time,
-                          cpl,
-                          {"forward": fwd.value, "backward": bwd.value,
-                           "direction": X_TO_Y if top is fwd else Y_TO_X,
-                           "penalty": top.diagnostics["penalty"],
-                           "lp_iterations": fwd.diagnostics["lp_iterations"]
-                           + bwd.diagnostics["lp_iterations"],
-                           "runtime_s": time.perf_counter() - t0},
-                          metric=metric)
+        witness: bool = True, metric: str = "sup") -> DistanceReport:
+    """Symmetrized causal distance: max of the two directed causal distances,
+    the direction that gave it in diagnostics["direction"]."""
+    x, y = _prepare(x, y, p, metric)
+    return _symmetrized(x, y, p, "SCW", penalty, x.grid.n_steps, witness,
+                        metric)
 
 
 def strict_scw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
-               witness: bool = True, cell_cap: int = DEFAULT_CELL_CAP,
-               metric: str = "sup") -> DistanceReport:
+               witness: bool = True, metric: str = "sup") -> DistanceReport:
     """Symmetrized causal distance with the shift forced to zero."""
-    t0 = time.perf_counter()
     x, y = _prepare(x, y, p, metric)
-    vals = []
-    iters = 0
-    cpl = direction = None
-    for d in (X_TO_Y, Y_TO_X):
-        value, c, it, _ = _constrained_lp(x, y, 0, p, (d,), witness,
-                                          cell_cap, metric=metric)
-        vals.append(value)
-        iters += it
-        if value == max(vals):
-            cpl, direction = c, d
-    return DistanceReport("SCW_strict", p, max(vals), 0, 0.0, cpl,
-                          {"forward": vals[0], "backward": vals[1],
-                           "direction": direction,
-                           "lp_iterations": iters,
-                           "runtime_s": time.perf_counter() - t0},
-                          metric=metric)
+    return _symmetrized(x, y, p, "SCW_strict", None, 0, witness, metric)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coupling import Coupling, EpsShift, X_TO_Y, is_eps_bicausal, is_eps_causal
+from .coupling import (Coupling, EpsShift, X_TO_Y, is_eps_bicausal, is_eps_causal,
+                       transport_cost)
 from .trees import FilteredTree, check_valid
 
 
@@ -412,10 +413,5 @@ def os_stability_bound(x: FilteredTree, y: FilteredTree, pi: Coupling,
     ok, resid = is_eps_bicausal(pi, eps)
     if not ok:
         raise ValueError(f"coupling is not eps-bicausal (residual {resid:.3e})")
-    cost = path_sup_expectation(pi)
+    cost = transport_cost(pi, 1.0, "sup")
     return float(lipschitz) * (cost + modulus(x, eps.steps) + modulus(y, eps.steps))
-
-
-def path_sup_expectation(pi: Coupling) -> float:
-    from .coupling import path_cost_matrix
-    return float((pi.weights * path_cost_matrix(pi.left, pi.right)).sum())

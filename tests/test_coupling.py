@@ -352,3 +352,47 @@ def test_check_rejects_non_finite_weights(fig1):
 def test_transport_cost_rejects_bad_order(fig1, p):
     with pytest.raises(ValueError, match="p must be"):
         transport_cost(product_coupling(*fig1), p)
+
+
+def _all_levels_distances(a, b, grid, metric):
+    """Oracle: the path distances from one (m, n, levels, dim) array."""
+    dist = np.linalg.norm(a[:, None, :, :] - b[None, :, :, :], axis=-1)
+    if metric == "sup":
+        return dist.max(axis=-1)
+    dt = np.diff(np.array((0.0,) + grid.times))
+    return dist[:, :, :-1] @ dt + dist[:, :, -1]
+
+
+@pytest.mark.parametrize("metric", ["sup", "l1"])
+def test_path_distances_match_all_levels_oracle(rng, metric):
+    from adapted_ot.coupling import _path_distances
+    pairs = [(random_walk_tree(n), quantized_bm_tree(n, 2)) for n in (2, 5)]
+    pairs += [counterexample_pair(3, 12)]
+    pairs += [(random_tree(rng, dim=2, root_atoms=2), random_tree(rng, dim=2))
+              for _ in range(10)]
+    for x, y in pairs:
+        x, y = align(x, y)
+        a, b = x.leaf_paths, y.leaf_paths
+        got = _path_distances(a, b, x.grid, metric)
+        want = _all_levels_distances(a, b, x.grid, metric)
+        if metric == "sup":
+            assert np.array_equal(got, want)
+        else:
+            # the sum over levels runs in another order
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_transport_cost_memory_is_quadratic_in_leaves():
+    # 512 x 512 leaves and 10 levels: the all-levels difference array alone
+    # would take 20 MB, one cost matrix takes 2 MB
+    import tracemalloc
+    pi = product_coupling(random_walk_tree(9), quantized_bm_tree(9, 2))
+    pi.left.leaf_paths, pi.right.leaf_paths  # cached views, built untraced
+    for metric in ("sup", "l1"):
+        tracemalloc.start()
+        try:
+            transport_cost(pi, 1.0, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, (metric, peak)

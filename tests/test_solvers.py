@@ -212,8 +212,8 @@ def test_cw_asymmetry_fig1(fig1):
 
 
 def test_scw_keeps_backward_witness(fig1):
-    # on (pe, p) the backward direction is the larger one; its witness is
-    # returned transposed, from pe to p
+    # on (pe, p) the backward direction is the larger one; its witness,
+    # causal from p to pe, couples pe to p like the forward one
     p, pe = fig1
     rep = scw(pe, p)
     assert rep.diagnostics["backward"] > rep.diagnostics["forward"]
@@ -260,6 +260,59 @@ def test_strict_scw(rng, fig1):
     s = strict_scw(ox, oy, witness=False).value
     nb = nested_bicausal(ox, oy, witness=False).value
     assert s < nb - 0.1
+
+
+def test_symmetrized_tie_goes_to_x_to_y(rng):
+    for _ in range(5):
+        t = random_tree(rng, root_atoms=int(rng.integers(1, 3)))
+        for fn in (scw, strict_scw):
+            rep = fn(t, t)
+            assert rep.diagnostics["forward"] == rep.diagnostics["backward"]
+            assert rep.diagnostics["direction"] == X_TO_Y
+            assert rep.verify_witness()
+
+
+def test_scw_and_strict_scw_share_diagnostics_keys(fig1):
+    loose, strict = scw(*fig1), strict_scw(*fig1)
+    assert set(loose.diagnostics) == set(strict.diagnostics)
+    assert strict.diagnostics["penalty"] == 0.0
+    assert [k for k, _, _ in strict.diagnostics["evaluated_shifts"]] == [0, 0]
+
+
+def test_scw_solves_w_once(fig1, monkeypatch):
+    import adapted_ot.solvers as solvers
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return wasserstein(*args, **kwargs)
+    monkeypatch.setattr(solvers, "wasserstein", counted)
+    rep = scw(*fig1)
+    assert len(calls) == 1
+    assert rep.value == pytest.approx(0.6, abs=1e-10)
+    # strict_scw needs W only at a shift 0 whose rows the marginals imply,
+    # which on figure 1 is the case from P to Pe
+    assert strict_scw(*fig1).value == pytest.approx(1.05, abs=1e-9)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("penalty", [lambda e: float("nan"), lambda e: -1.0,
+                                     lambda e: float("inf")])
+def test_penalty_must_be_finite_and_nonnegative(fig1, penalty):
+    for fn in (aw, cw, scw):
+        with pytest.raises(ValueError, match="penalty must be"):
+            fn(*fig1, penalty=penalty)
+
+
+def test_eps_bicausal_lp_takes_any_integer_shift(fig1):
+    want = eps_bicausal_lp(*fig1, 1)
+    for eps in (np.int64(1), np.uint8(1)):
+        rep = eps_bicausal_lp(*fig1, eps)
+        assert (rep.value, rep.eps_steps, rep.epsilon_time) == \
+            (want.value, 1, want.epsilon_time)
+    for eps in (1.0, "1", None, -1):
+        with pytest.raises(ValueError, match="eps"):
+            eps_bicausal_lp(*fig1, eps)
 
 
 def test_witnesses_feasible(rng):
