@@ -1,10 +1,12 @@
 """Optimal stopping on scenario trees: Snell recursion, stopping-time
 transfer across eps-causal couplings, modulus of continuity, martingale
-defect, and the quantitative stability bound.
+defect, and the quantitative stability bound.  Costs are evaluated on
+batches of stopped paths (see `CostFunction`), one call per Snell level.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -20,15 +22,17 @@ from .trees import FilteredTree, check_valid
 
 @dataclass(frozen=True)
 class CostFunction:
-    """Non-anticipative cost: the evaluator only ever sees the path prefix
-    up to the stopping time, so anticipation is ruled out structurally.
+    """Non-anticipative cost, evaluated on a batch of stopped paths.
 
-    fn(prefix, t): prefix has shape (k+1, dim) holding the values at levels
-    0..k where k is the level whose time interval contains t; t may be any
-    real in [0, 1] (times past 1 are clamped by callers).
+    fn(paths, t): paths (..., L, dim) holds per path the values at levels
+    0..k, k the level whose time interval contains t, optionally continued
+    by repeating the level-k value, so the cost never sees the path after
+    the stopping time.  t in [0, 1] has the leading shape (...), and fn
+    returns one cost per path, shape (...); a single prefix (L, dim) with a
+    scalar t is the case (...) = ().  An infinite cost forbids stopping.
     """
 
-    fn: Callable[[np.ndarray, float], float]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = ""
     bounded: bool = True
     lipschitz: Optional[float] = None
@@ -39,35 +43,34 @@ def _psi_by_name(spec: str):
     if spec == "identity":
         return (lambda v: v), "identity"
     if spec == "abs":
-        return (lambda v: abs(v)), "abs"
+        return np.abs, "abs"
     if spec.startswith("call(") and spec.endswith(")"):
         k = float(spec[5:-1])
-        return (lambda v: max(v - k, 0.0)), spec
+        return (lambda v: np.maximum(v - k, 0.0)), spec
     if spec.startswith("put(") and spec.endswith(")"):
         k = float(spec[4:-1])
-        return (lambda v: max(k - v, 0.0)), spec
+        return (lambda v: np.maximum(k - v, 0.0)), spec
     raise ValueError(f"unknown psi {spec!r}")
 
 
 def state_cost(psi, name: str = "", lipschitz: Optional[float] = 1.0) -> CostFunction:
-    """phi(f, t) = psi(f(t)), evaluated on the first coordinate."""
-    return CostFunction(lambda prefix, t: psi(float(prefix[-1, 0])),
+    """phi(f, t) = psi(f(t)), evaluated on the first coordinate; psi maps
+    arrays elementwise."""
+    return CostFunction(lambda paths, t: psi(paths[..., -1, 0]),
                         name or "state", lipschitz=lipschitz)
 
 
 def running_max_cost(psi, name: str = "", lipschitz: Optional[float] = 1.0) -> CostFunction:
     """phi(f, t) = psi(max_{s<=t} f(s)) on the first coordinate."""
-    return CostFunction(lambda prefix, t: psi(float(prefix[:, 0].max())),
+    return CostFunction(lambda paths, t: psi(paths[..., 0].max(axis=-1)),
                         name or "running-max", lipschitz=lipschitz)
 
 
 def terminal_cost(psi, name: str = "") -> CostFunction:
     """Stopping before the horizon is forbidden (infinite cost)."""
-    def fn(prefix, t):
-        if t < 1.0 - 1e-12:
-            return np.inf
-        return psi(float(prefix[-1, 0]))
-    return CostFunction(fn, name or "terminal", bounded=False, lipschitz=None)
+    return CostFunction(lambda paths, t: np.where(t < 1.0 - 1e-12, np.inf,
+                                                  psi(paths[..., -1, 0])),
+                        name or "terminal", bounded=False, lipschitz=None)
 
 
 def cost_by_name(spec: str) -> CostFunction:
@@ -96,6 +99,29 @@ def lipschitz_battery():
     return out
 
 
+def _stopped_costs(tree: FilteredTree, leaves, times, phi: CostFunction) -> np.ndarray:
+    """phi(X, t) along each leaf's path at the matching time (clamped to
+    [0, 1]), in one call of phi.fn on the distinct (leaf, time) pairs, so a
+    batch never holds more paths than leaves x distinct times."""
+    leaves, times = np.broadcast_arrays(leaves, np.clip(times, 0.0, 1.0))
+    ts, t_id = np.unique(times.ravel(), return_inverse=True)
+    keys, inv = np.unique(leaves.ravel() * ts.size + t_id, return_inverse=True)
+    leaf, col = np.divmod(keys, ts.size)
+    level = np.array([tree.grid.floor_level(s) for s in ts])[col, None]
+    held = tree.leaf_paths[leaf[:, None], np.minimum(np.arange(tree.n_levels), level)]
+    costs = np.asarray(phi.fn(held, ts[col]), dtype=float)
+    if costs.shape != keys.shape:
+        raise ValueError(f"cost {phi.name!r} returned shape {costs.shape} "
+                         f"for stopped paths of shape {held.shape}")
+    return costs[inv].reshape(leaves.shape)
+
+
+def _expectation(weights: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * costs[..., k], added left to right as a loop over k
+    would add them, so values match a per-leaf loop bit for bit."""
+    return np.cumsum(weights * costs, axis=-1)[..., -1]
+
+
 # ---------------------------------------------------------------------------
 # Stopping rules
 
@@ -108,25 +134,20 @@ class StoppingRule:
     stop: list  # per level, boolean array over nodes
 
     def __post_init__(self):
-        n = self.tree.n_levels
-        if len(self.stop) != n:
-            raise ValueError("decision levels do not match the tree")
         self.stop = [np.asarray(s, dtype=bool) for s in self.stop]
+        if len(self.stop) != self.tree.n_levels or any(
+                s.shape != (len(lv),) for s, lv in zip(self.stop, self.tree.levels)):
+            raise ValueError("decisions need one array per level, one entry per node")
         if not self.stop[-1].all():
             raise ValueError("stopping must be forced at the terminal level")
 
-    def stop_level(self, leaf: int) -> int:
-        anc = self.tree.ancestors
-        for i in range(self.tree.n_levels):
-            if self.stop[i][anc[i][leaf]]:
-                return i
-        return self.tree.n_levels - 1
-
     def stop_levels(self) -> np.ndarray:
-        return np.array([self.stop_level(k) for k in range(self.tree.n_leaves)])
+        """Per leaf, the first level at which its ancestor stops."""
+        hit = np.stack([s[a] for s, a in zip(self.stop, self.tree.ancestors)])
+        return hit.argmax(axis=0)
 
     def stop_times(self) -> np.ndarray:
-        return np.array([self.tree.level_time(i) for i in self.stop_levels()])
+        return np.array((0.0,) + self.tree.grid.times)[self.stop_levels()]
 
 
 def random_rule(tree: FilteredTree, rng, p_stop: float = 0.35) -> StoppingRule:
@@ -136,20 +157,8 @@ def random_rule(tree: FilteredTree, rng, p_stop: float = 0.35) -> StoppingRule:
 
 
 def eval_rule(tree: FilteredTree, rule: StoppingRule, phi: CostFunction) -> float:
-    levels = rule.stop_levels()
-    total = 0.0
-    for k in range(tree.n_leaves):
-        i = levels[k]
-        total += tree.leaf_probs[k] * phi.fn(tree.leaf_paths[k, :i + 1],
-                                             tree.level_time(i))
-    return float(total)
-
-
-def eval_phi_at_time(tree: FilteredTree, leaf: int, t: float, phi: CostFunction) -> float:
-    """phi along a leaf path at an arbitrary real time (clamped to [0,1])."""
-    t = min(max(t, 0.0), 1.0)
-    lev = tree.grid.floor_level(t)
-    return phi.fn(tree.leaf_paths[leaf, :lev + 1], t)
+    costs = _stopped_costs(tree, np.arange(tree.n_leaves), rule.stop_times(), phi)
+    return float(_expectation(tree.leaf_probs, costs))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +175,9 @@ def snell_os(tree: FilteredTree, phi: CostFunction, variant: str = "inf") -> OSR
     """Optimal stopping value by backward recursion.
 
     variant "inf" minimizes E[phi(X, tau)]; "sup" maximizes (computed as the
-    infimum for the negated cost).  Ties stop early.  A non-finite cost at a
-    forced terminal stop is an error; +inf above the terminal level simply
-    means "never stop here".
+    infimum for the negated cost).  Ties stop early.  In both variants a
+    non-finite cost forbids stopping at a node; at the forced terminal stop
+    it is an error.
     """
     check_valid(tree)
     sign = 1.0 if variant == "inf" else -1.0
@@ -177,21 +186,16 @@ def snell_os(tree: FilteredTree, phi: CostFunction, variant: str = "inf") -> OSR
     n = tree.n_levels
     values = [None] * n
     stop = [None] * n
-    # representative leaf per node gives the value prefix along its ancestry
-    rep = [np.zeros(len(lv), dtype=int) for lv in tree.levels]
-    for i in range(n):
-        rep[i][tree.ancestors[i]] = np.arange(tree.n_leaves)
     for i in range(n - 1, -1, -1):
-        t = tree.level_time(i)
-        here = np.array([sign * phi.fn(tree.leaf_paths[r, :i + 1], t) for r in rep[i]])
-        if i == n - 1:
-            if not np.isfinite(here).all():
-                raise ValueError("cost is not finite at a forced stop")
-            values[i], stop[i] = here, np.ones(here.size, dtype=bool)
-            continue
-        cont = tree.children_sum(i, values[i + 1])
-        stop[i] = here <= cont
-        values[i] = np.where(stop[i], here, cont)
+        rep = np.zeros(len(tree.levels[i]), dtype=int)  # one leaf under each node
+        rep[tree.ancestors[i]] = np.arange(tree.n_leaves)
+        raw = _stopped_costs(tree, rep, tree.level_time(i), phi)
+        if i == n - 1 and not np.isfinite(raw).all():
+            raise ValueError("cost is not finite at a forced stop")
+        # continuing past the horizon is impossible, so it is worth +inf
+        cont = tree.children_sum(i, values[i + 1]) if i + 1 < n else np.inf
+        stop[i] = np.isfinite(raw) & (sign * raw <= cont)
+        values[i] = np.where(stop[i], sign * raw, cont)
     root = tree.children_sum(-1, values[0])[0]
     return OSResult(sign * float(root), StoppingRule(tree, stop),
                     [sign * v for v in values])
@@ -246,22 +250,19 @@ class TransferFamily:
     tree: FilteredTree  # the X marginal
     plateaus: list      # list of (u_lo, u_hi, times array over X-leaves)
 
+    def values(self, phi: CostFunction) -> np.ndarray:
+        """E[phi(X, sigma_u)] on each plateau."""
+        times = np.array([t for _, _, t in self.plateaus])
+        costs = _stopped_costs(self.tree, np.arange(self.tree.n_leaves), times, phi)
+        return _expectation(self.tree.leaf_probs, costs)
+
     def integral(self, phi: CostFunction) -> float:
         """The u-integral of E[phi(X, sigma_u)], a finite sum over plateaus."""
-        total = 0.0
-        for lo, hi, times in self.plateaus:
-            e = sum(self.tree.leaf_probs[k] *
-                    eval_phi_at_time(self.tree, k, times[k], phi)
-                    for k in range(self.tree.n_leaves))
-            total += (hi - lo) * e
-        return float(total)
+        widths = np.array([hi - lo for lo, hi, _ in self.plateaus])
+        return float(_expectation(widths, self.values(phi)))
 
     def best_value(self, phi: CostFunction) -> float:
-        vals = [sum(self.tree.leaf_probs[k] *
-                    eval_phi_at_time(self.tree, k, times[k], phi)
-                    for k in range(self.tree.n_leaves))
-                for _, _, times in self.plateaus]
-        return float(min(vals))
+        return float(self.values(phi).min())
 
 
 def transfer_stopping_time(pi: Coupling, eps: EpsShift, tau: StoppingRule,
@@ -273,7 +274,8 @@ def transfer_stopping_time(pi: Coupling, eps: EpsShift, tau: StoppingRule,
     tau + eps, clamped at 1; the family satisfies the exact integral identity
     int_0^1 E[phi(X, sigma_u)] du = E_pi[phi(X, tau + eps)].
     """
-    if tau.tree is not pi.right and tau.tree.grid.times != pi.right.grid.times:
+    if tau.tree is not pi.right and (tau.tree.grid.times != pi.right.grid.times
+                                     or tau.tree.n_leaves != pi.right.n_leaves):
         raise ValueError("rule is not defined on the right marginal")
     if check:
         ok, resid = is_eps_causal(pi, eps, X_TO_Y)
@@ -307,15 +309,9 @@ def transfer_identity_gap(pi: Coupling, eps: EpsShift, tau: StoppingRule,
                           phi: CostFunction) -> float:
     """|u-integral - E_pi[phi(X, tau+eps)]|; zero up to rounding."""
     fam = transfer_stopping_time(pi, eps, tau, check=False)
-    tau_times = tau.stop_times()
-    rhs = 0.0
-    for a in range(pi.left.n_leaves):
-        for b in range(pi.right.n_leaves):
-            w = pi.weights[a, b]
-            if w > 0.0:
-                rhs += w * eval_phi_at_time(pi.left, a,
-                                            tau_times[b] + eps.epsilon_time, phi)
-    return abs(fam.integral(phi) - rhs)
+    a, b = np.nonzero(pi.weights > 0.0)
+    costs = _stopped_costs(pi.left, a, tau.stop_times()[b] + eps.epsilon_time, phi)
+    return abs(fam.integral(phi) - float(_expectation(pi.weights[a, b], costs)))
 
 
 def os_from_transfer(pi: Coupling, eps: EpsShift, tau: StoppingRule,
@@ -335,7 +331,10 @@ def modulus(tree: FilteredTree, eps_steps: int) -> float:
     oscillation of X over the k levels after a stopping time, maximized over
     stopping rules by a Snell recursion on the window reward."""
     check_valid(tree)
-    k = int(eps_steps)
+    try:
+        k = operator.index(eps_steps)
+    except TypeError:
+        raise ValueError(f"eps_steps must be an integer, got {eps_steps!r}") from None
     if k < 0:
         raise ValueError("eps_steps must be >= 0")
     n = tree.n_levels

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from adapted_ot import FilteredTree, Node, TimeGrid, figure1_pair, random_tree
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          max_examples=200, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

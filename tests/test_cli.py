@@ -93,6 +93,18 @@ def test_os_rw_matches_library(capsys):
     assert json.loads(out)["value"] == pytest.approx(expected, abs=1e-12)
 
 
+def test_os_terminal_sup_prints_strict_json(capsys):
+    def reject(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    code, out, _ = run_cli(capsys, "os", "--tree", "rw:n=3", "--phi", "terminal:abs",
+                           "--variant", "sup")
+    assert code == 0
+    # E|X_1| for the scaled walk of three steps is sqrt(3) / 2
+    assert json.loads(out, parse_constant=reject)["value"] == pytest.approx(
+        0.8660254037844388, abs=1e-15)
+
+
 def test_donsker_csv_and_reproducibility(capsys):
     args = ("donsker", "--n-ladder", "16,32", "--eps-ladder", "1,0.5",
             "--samples", "200", "--seed", "3")

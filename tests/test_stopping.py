@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from adapted_ot import (Coupling, EpsShift, ZERO_SHIFT, aw, brute_force_os,
-                        cost_by_name, counterexample_pair, eval_rule,
-                        hk_minimize, identity_coupling,
+from adapted_ot import (Coupling, CostFunction, EpsShift, ZERO_SHIFT, aw,
+                        brute_force_os, cost_by_name, counterexample_pair,
+                        eval_rule, hk_minimize, identity_coupling,
                         lipschitz_battery, martingale_defect, modulus,
                         os_from_transfer, os_stability_bound, product_coupling,
-                        random_martingale_tree, random_tree, random_walk_tree,
-                        snell_os, state_cost, transfer_stopping_time)
+                        quantized_bm_tree, random_martingale_tree, random_tree,
+                        random_walk_tree, snell_os, state_cost,
+                        transfer_stopping_time)
 from adapted_ot.stopping import (StoppingRule, brute_force_modulus,
                                  random_rule, transfer_identity_gap)
-from adapted_ot.trees import FilteredTree, Node, align
+from adapted_ot.trees import FilteredTree, Node, TimeGrid, align
 
 from conftest import deterministic_tree
+
+TERMINAL_SPECS = ("terminal:identity", "terminal:abs", "terminal:call(0.25)",
+                  "terminal:put(0.5)")
+ALL_SPECS = tuple(c.name for c in lipschitz_battery()) + ("example-E1",) + TERMINAL_SPECS
 
 
 def test_snell_on_fig1_martingale(fig1):
@@ -56,11 +62,20 @@ def test_snell_matches_brute_force(rng):
             brute_force_os(t, phi, "sup"), abs=1e-12)
 
 
-def test_snell_terminal_cost():
-    # terminal cost forbids early stopping
+def test_snell_terminal_cost(rng):
+    # terminal cost forbids early stopping, in both variants
     t = deterministic_tree((0.5, -1.0, 0.25))
     phi = cost_by_name("terminal:identity")
     assert snell_os(t, phi).value == pytest.approx(0.25, abs=1e-14)
+    res = snell_os(t, phi, "sup")
+    assert res.value == brute_force_os(t, phi, "sup") == 0.25
+    assert not any(s.any() for s in res.rule.stop[:-1])
+    for _ in range(30):
+        t = random_tree(rng, root_atoms=int(rng.integers(1, 3)))
+        for spec in TERMINAL_SPECS:
+            phi = cost_by_name(spec)
+            assert snell_os(t, phi, "sup").value == pytest.approx(
+                brute_force_os(t, phi, "sup"), abs=1e-12)
 
 
 def test_snell_rule_consistency(rng):
@@ -272,3 +287,187 @@ def test_os_invariant_under_hk_minimize(rng):
         for phi in battery[:3]:
             assert snell_os(t, phi).value == pytest.approx(
                 snell_os(m, phi).value, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Batched cost evaluation against per-node and per-leaf loops that call the
+# cost once per path prefix.
+
+
+def _snell_per_node(tree, phi, variant):
+    """Snell recursion with one cost call per node; a non-finite cost
+    forbids stopping."""
+    sign = 1.0 if variant == "inf" else -1.0
+    n = tree.n_levels
+    values, stop = [None] * n, [None] * n
+    rep = [np.zeros(len(lv), dtype=int) for lv in tree.levels]
+    for i in range(n):
+        rep[i][tree.ancestors[i]] = np.arange(tree.n_leaves)
+    for i in range(n - 1, -1, -1):
+        t = tree.level_time(i)
+        raw = np.array([phi.fn(tree.leaf_paths[r, :i + 1], t) for r in rep[i]])
+        here = sign * raw
+        if i == n - 1:
+            values[i], stop[i] = here, np.ones(here.size, dtype=bool)
+            continue
+        cont = tree.children_sum(i, values[i + 1])
+        stop[i] = np.isfinite(raw) & (here <= cont)
+        values[i] = np.where(stop[i], here, cont)
+    return sign * float(tree.children_sum(-1, values[0])[0]), stop
+
+
+def _stop_level(rule, leaf):
+    for i in range(rule.tree.n_levels):
+        if rule.stop[i][rule.tree.ancestors[i][leaf]]:
+            return i
+
+
+def _phi_at(tree, leaf, t, phi):
+    t = min(max(t, 0.0), 1.0)
+    return phi.fn(tree.leaf_paths[leaf, :tree.grid.floor_level(t) + 1], t)
+
+
+def _eval_rule_per_leaf(tree, rule, phi):
+    total = 0.0
+    for k in range(tree.n_leaves):
+        i = _stop_level(rule, k)
+        total += tree.leaf_probs[k] * phi.fn(tree.leaf_paths[k, :i + 1],
+                                             tree.level_time(i))
+    return float(total)
+
+
+def _family_values_per_leaf(fam, phi):
+    return [sum(fam.tree.leaf_probs[k] * _phi_at(fam.tree, k, times[k], phi)
+                for k in range(fam.tree.n_leaves))
+            for _, _, times in fam.plateaus]
+
+
+def _transfer_rhs_per_pair(pi, eps, tau, phi):
+    times = [tau.tree.level_time(_stop_level(tau, b)) for b in range(pi.right.n_leaves)]
+    rhs = 0.0
+    for a in range(pi.left.n_leaves):
+        for b in range(pi.right.n_leaves):
+            if pi.weights[a, b] > 0.0:
+                rhs += pi.weights[a, b] * _phi_at(pi.left, a, times[b] + eps.epsilon_time,
+                                                  phi)
+    return rhs
+
+
+def test_batched_snell_and_rules_match_per_node_loops(rng):
+    costs = [cost_by_name(s) for s in ALL_SPECS]
+    for _ in range(300):
+        t = random_tree(rng, dim=2, root_atoms=int(rng.integers(1, 4)))
+        rule = random_rule(t, rng)
+        assert np.array_equal(rule.stop_levels(),
+                              [_stop_level(rule, k) for k in range(t.n_leaves)])
+        for phi in costs:
+            for variant in ("inf", "sup"):
+                res = snell_os(t, phi, variant)
+                value, stop = _snell_per_node(t, phi, variant)
+                assert res.value == value
+                assert all(np.array_equal(a, b) for a, b in zip(res.rule.stop, stop))
+            assert eval_rule(t, rule, phi) == _eval_rule_per_leaf(t, rule, phi)
+
+
+def test_batched_transfer_matches_per_leaf_loops(rng):
+    costs = [cost_by_name(s) for s in ALL_SPECS]
+    for _ in range(60):
+        roots = int(rng.integers(1, 3))
+        x, y = align(random_tree(rng, dim=2, root_atoms=roots),
+                     random_tree(rng, dim=2, root_atoms=roots))
+        k = int(rng.integers(0, x.grid.n_steps + 1))
+        eps = EpsShift.for_grid(x.grid, k)
+        pi = _random_causal(rng, x, y, k)
+        tau = random_rule(y, rng)
+        fam = transfer_stopping_time(pi, eps, tau)
+        widths = [hi - lo for lo, hi, _ in fam.plateaus]
+        for phi in costs:
+            want = _family_values_per_leaf(fam, phi)
+            integral = 0.0
+            for w, e in zip(widths, want):
+                integral += w * e
+            assert list(fam.values(phi)) == want
+            assert fam.integral(phi) == integral
+            assert fam.best_value(phi) == min(want)
+            with np.errstate(invalid="ignore"):    # inf - inf for terminal costs
+                gap = transfer_identity_gap(pi, eps, tau, phi)
+                want = abs(integral - _transfer_rhs_per_pair(pi, eps, tau, phi))
+            assert np.array_equal(gap, want, equal_nan=True)
+
+
+@st.composite
+def small_trees(draw):
+    """Trees of 1-3 steps with 1-2 root atoms and 1-2 children per node;
+    values on a coarse lattice so that ties between stopping and continuing
+    are common."""
+    n = draw(st.integers(1, 3))
+    value = st.sampled_from((-1.0, -0.5, 0.0, 0.25, 0.5, 1.0))
+
+    def probs(k):
+        w = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+        return [c / sum(w) for c in w]
+
+    levels = [tuple(Node(None, p, (draw(value),)) for p in probs(draw(st.integers(1, 2))))]
+    for _ in range(n):
+        levels.append(tuple(Node(parent, p, (draw(value),))
+                            for parent in range(len(levels[-1]))
+                            for p in probs(draw(st.integers(1, 2)))))
+    return FilteredTree(TimeGrid(tuple((i + 1) / n for i in range(n))), tuple(levels))
+
+
+@given(small_trees(), st.sampled_from(ALL_SPECS), st.sampled_from(("inf", "sup")))
+def test_snell_equals_brute_force_property(tree, spec, variant):
+    phi = cost_by_name(spec)
+    assert snell_os(tree, phi, variant).value == pytest.approx(
+        brute_force_os(tree, phi, variant), abs=1e-12)
+
+
+def test_custom_batched_cost_matches_brute_force(rng):
+    # running minimum: reads the whole stopped path, and a repeated last
+    # value does not change it
+    running_min = CostFunction(lambda paths, t: paths[..., 0].min(axis=-1), "running-min")
+    for _ in range(20):
+        t = random_tree(rng, root_atoms=int(rng.integers(1, 3)))
+        for variant in ("inf", "sup"):
+            assert snell_os(t, running_min, variant).value == pytest.approx(
+                brute_force_os(t, running_min, variant), abs=1e-12)
+
+
+def test_cost_must_return_one_value_per_path(rng):
+    t = random_tree(rng)
+    scalar = CostFunction(lambda paths, t: 0.0, "scalar")
+    with pytest.raises(ValueError, match="returned shape"):
+        snell_os(t, scalar)
+    with pytest.raises(ValueError, match="returned shape"):
+        eval_rule(t, random_rule(t, rng), scalar)
+
+
+def test_transfer_requires_rule_with_right_marginal_leaves():
+    y = random_walk_tree(3)                      # 8 leaves
+    pi = identity_coupling(y)
+    phi = cost_by_name("state:identity")
+    for other in (deterministic_tree((0.0, 0.0, 0.0, 0.0)),   # 1 leaf
+                  quantized_bm_tree(3, 3)):                   # 27 leaves
+        assert other.grid.times == y.grid.times
+        tau = random_rule(other, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="right marginal"):
+            transfer_stopping_time(pi, ZERO_SHIFT, tau)
+        with pytest.raises(ValueError, match="right marginal"):
+            transfer_identity_gap(pi, ZERO_SHIFT, tau, phi)
+
+
+def test_stopping_rule_rejects_misshaped_decisions(fig1):
+    _, pe = fig1                                 # 1, 2 and 2 nodes per level
+    for bad in ([[False], [False], [True, True]],
+                [[False], [False, False, True], [True, True]],
+                [[False], [[False, False]], [True, True]]):
+        with pytest.raises(ValueError, match="one entry per node"):
+            StoppingRule(pe, bad)
+
+
+def test_modulus_takes_integer_steps_only():
+    t = random_walk_tree(4)
+    assert modulus(t, np.int64(2)) == modulus(t, 2)
+    for bad in (1.7, 1.0, "1"):
+        with pytest.raises(ValueError, match="integer"):
+            modulus(t, bad)
