@@ -2,8 +2,9 @@
 behind the convergence-rate experiments.
 
 Tree builders return validated FilteredTrees; the estimators are seeded,
-batch-sharded (worker i consumes seed + i * 2**32) and therefore reproduce
-bit-identically for a fixed seed regardless of batching.
+batch-sharded (batch i of 512 samples consumes seed + i * 2**32) and
+therefore reproduce bit-identically for a fixed seed regardless of
+threading.
 """
 
 from __future__ import annotations
@@ -341,47 +342,20 @@ class McEstimate:
 
 
 _MC_BATCH = 512
+_EULER_CHUNK = 32   # fine steps of normals per generator call
 
 
 def _batch_seeds(seed: int, samples: int, batch: int = _MC_BATCH):
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    out = []
-    done = 0
-    i = 0
-    while done < samples:
-        take = min(batch, samples - done)
-        out.append((seed + i * 2 ** 32, take))
-        done += take
-        i += 1
-    return out
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2 for a standard error, got {samples}")
+    return [(seed + i * 2 ** 32, min(batch, samples - start))
+            for i, start in enumerate(range(0, samples, batch))]
 
 
-class _HypergeomTables:
-    """CDF/PMF tables of first-half success counts per segment length.
-
-    table[(L, L1)][P, j] = P(hypergeom(L, P, L1) <= j); built once per
-    length via log-binomials, so lookups inside the sampling loops are pure
-    fancy indexing.
-    """
-
-    def __init__(self):
-        self.cache = {}
-
-    def get(self, L: int, L1: int):
-        key = (L, L1)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        P = np.arange(L + 1)[:, None]
-        j = np.arange(L1 + 1)[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logpmf = (_logchoose(P, j) + _logchoose(L - P, L1 - j)
-                      - _logchoose(L, L1))
-        pmf = np.where(np.isfinite(logpmf), np.exp(logpmf), 0.0)
-        cdf = np.cumsum(pmf, axis=1)
-        self.cache[key] = (pmf, cdf)
-        return pmf, cdf
+def _estimate(sup: np.ndarray, seed: int) -> McEstimate:
+    return McEstimate(float(sup.mean()),
+                      float(sup.std(ddof=1) / math.sqrt(sup.size)),
+                      sup.size, seed)
 
 
 def _logchoose(n, k):
@@ -393,28 +367,100 @@ def _logchoose(n, k):
     return np.where(bad, -np.inf, out)
 
 
-def _dyadic_block(rng, counts, winc, L: int, dt: float, tables):
-    """Refine block totals down to single steps.
+def _split_cdf(L: int) -> np.ndarray:
+    """CDF table of the plus count in the first half of a segment.
 
-    counts: plus-step counts per segment; winc: BM increments per segment.
-    At each split the conditional count is drawn exactly (hypergeometric)
-    and the BM midpoint is its quantile-coupled Brownian-bridge sample.
-    Returns per-step (counts in {0,1}, BM step increments), in time order.
+    Given c plus steps among L, the count in the first L1 = L // 2 steps is
+    hypergeometric.  Entry [j, c] is its CDF P(count <= j) for j < L1.
+    From the top of the support, min(c, L1), on, the CDF is set to exactly
+    1.0; the row j = L1, where it is 1.0 for every c, is left out.
     """
-    if L == 1:
-        return counts[..., None], winc[..., None]
     L1 = L // 2
-    L2 = L - L1
-    pmf, cdf = tables.get(L, L1)
-    p1 = rng.hypergeometric(counts, L - counts, L1)
-    u = rng.random(counts.shape)
-    prev = np.where(p1 > 0, cdf[counts, np.maximum(p1 - 1, 0)], 0.0)
-    ut = np.clip(prev + u * pmf[counts, p1], 1e-15, 1.0 - 1e-15)
-    w1 = winc * (L1 / L) + math.sqrt(dt * L1 * L2 / L) * ndtri(ut)
-    c1, s1 = _dyadic_block(rng, p1, w1, L1, dt, tables)
-    c2, s2 = _dyadic_block(rng, counts - p1, winc - w1, L2, dt, tables)
-    return (np.concatenate([c1, c2], axis=-1),
-            np.concatenate([s1, s2], axis=-1))
+    c = np.arange(L + 1)[None, :]
+    j = np.arange(L1)[:, None]
+    pmf = np.exp(_logchoose(c, j) + _logchoose(L - c, L1 - j) - _logchoose(L, L1))
+    cdf = np.minimum(np.cumsum(pmf, axis=0), 1.0)
+    cdf[j >= c] = 1.0   # j < L1, so j >= min(c, L1) means j >= c
+    return cdf
+
+
+def _split_counts(cdf: np.ndarray, counts, u) -> np.ndarray:
+    """First-half plus counts F^{-1}(u) for segments holding `counts` plus
+    steps: the number of j with cdf[j, counts] <= u, which is the smallest j
+    with F(j) > u, so that u lies in [F(j - 1), F(j)).  u must lie in
+    [0, 1); one gather per table row."""
+    p1 = np.zeros(np.shape(counts), dtype=np.int64)
+    for row in cdf:
+        p1 += row[counts] <= u
+    return p1
+
+
+def _split_plan(K: int):
+    """The split depths of the dyadic refinement of a block of K steps.
+
+    A segment of L >= 2 steps splits into L // 2 and L - L // 2 steps, so
+    the lengths at depth d are floor(K / 2**d) or ceil(K / 2**d): at most
+    two length groups per depth.  Each depth is (groups, splits, keep):
+    one (L, columns, CDF table) per length L >= 2, the number of splits, and
+    the child columns to keep (None keeps all; a length-1 segment passes
+    through as the right child of an empty left half).
+    """
+    tables = {}
+    plan = []
+    lengths = np.array([K])
+    while lengths.max() > 1:
+        groups = []
+        for L in np.unique(lengths[lengths > 1]).tolist():
+            if L not in tables:
+                tables[L] = _split_cdf(L)
+            cols = np.flatnonzero(lengths == L)
+            groups.append((L, slice(None) if cols.size == lengths.size else cols,
+                           tables[L]))
+        halves = lengths // 2
+        children = np.stack([halves, lengths - halves], axis=1).ravel()
+        keep = children > 0
+        plan.append((groups, int((lengths > 1).sum()),
+                     None if keep.all() else np.flatnonzero(keep)))
+        lengths = children[keep]
+    return plan
+
+
+def _dyadic_split(rng, counts, winc, plan, dt: float):
+    """Refine block totals down to single steps, one depth at a time.
+
+    counts: plus-step counts per segment; winc: BM increments per segment;
+    segments run in time order along the last axis.  Each depth draws one
+    uniform U per split, in one call whose columns run over the length
+    groups of the plan in turn.  The first-half count is F^{-1}(U)
+    for its hypergeometric CDF F, and the BM midpoint is the Brownian-bridge
+    sample with normal quantile U, so the two are quantile-coupled.  Given
+    the count, U is uniform on its atom of F, so (count, U) has the law of
+    an exact hypergeometric draw followed by a uniform on that atom.
+    Returns per-step (counts in {0, 1}, BM step increments), in time order.
+    """
+    for groups, splits, keep in plan:
+        u = rng.random(counts.shape[:-1] + (splits,))
+        p1 = np.zeros_like(counts)
+        w1 = np.zeros_like(winc)
+        start = 0
+        for L, cols, cdf in groups:
+            L1 = L // 2
+            c = counts[..., cols]
+            ug = u[..., start:start + c.shape[-1]]
+            start += c.shape[-1]
+            p1[..., cols] = _split_counts(cdf, c, ug)
+            w1[..., cols] = (winc[..., cols] * (L1 / L)
+                             + math.sqrt(dt * L1 * (L - L1) / L)
+                             * ndtri(np.clip(ug, 1e-15, 1.0 - 1e-15)))
+        counts = np.stack([p1, counts - p1], axis=-1).reshape(*counts.shape[:-1], -1)
+        winc = np.stack([w1, winc - w1], axis=-1).reshape(*winc.shape[:-1], -1)
+        if keep is not None:
+            counts, winc = counts[..., keep], winc[..., keep]
+    return counts, winc
+
+
+def _abs_diff(a, b, out):
+    return np.abs(np.subtract(a, b, out=out), out=out)
 
 
 def rw_bm_block_coupling_cost(n: int, eps: float, samples: int, seed: int,
@@ -428,14 +474,26 @@ def rw_bm_block_coupling_cost(n: int, eps: float, samples: int, seed: int,
     interior is filled by bridge sampling whose dyadic midpoints are
     quantile-coupled to the walk's conditional step counts (the computable
     stand-in for the strong-approximation coupling).
+
+    Each 512-sample batch draws, from its own generator: the block
+    uniforms, then one uniform array per split depth (`_dyadic_split`),
+    then the normals of the bridge samples between step endpoints.  The
+    split count of a segment is read off its hypergeometric CDF table at
+    that uniform, which also sets the bridge midpoint.  Splits used to be
+    drawn depth first with `rng.hypergeometric`, so fixed-seed values
+    changed with this draw order; their law did not.
     """
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if oversample < 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample}")
     B = round(1.0 / eps)
     K = round(eps * n)
     if abs(B * eps - 1.0) > 1e-9 or abs(K - eps * n) > 1e-9 or K < 1:
         raise ValueError("need 1/eps and eps*n integral, eps*n >= 1")
     dt = 1.0 / n
     step = 1.0 / math.sqrt(n)
-    tables = _HypergeomTables()
+    plan = _split_plan(K)
     # binomial CDF of the block plus-count, for exact quantile inversion
     jj = np.arange(K + 1)
     bpmf = np.exp(_logchoose(K, jj) - K * math.log(2.0))
@@ -448,71 +506,81 @@ def rw_bm_block_coupling_cost(n: int, eps: float, samples: int, seed: int,
         v = rng.random((s, B))
         counts = np.searchsorted(bcdf, v, side="left").astype(np.int64)
         winc = math.sqrt(eps) * ndtri(np.clip(v, 1e-15, 1 - 1e-15))
-        cstep, wstep = _dyadic_block(rng, counts, winc, K, dt, tables)
-        signs = (2 * cstep - 1).reshape(s, n)
-        wstep = wstep.reshape(s, n)
-        rw = np.cumsum(signs * step, axis=1)
-        bm = np.cumsum(wstep, axis=1)
-        rw0 = np.concatenate([np.zeros((s, 1)), rw[:, :-1]], axis=1)
-        bm0 = np.concatenate([np.zeros((s, 1)), bm[:, :-1]], axis=1)
+        cstep, wstep = _dyadic_split(rng, counts[..., None], winc[..., None],
+                                     plan, dt)
+        # both paths behind a zero column: [:, :-1] holds the left limits
+        # and [:, 1:] the values at the step ends
+        rw = np.zeros((s, n + 1))
+        bm = np.zeros((s, n + 1))
+        np.cumsum((2 * cstep - 1).reshape(s, n) * step, axis=1, out=rw[:, 1:])
+        np.cumsum(wstep.reshape(s, n), axis=1, out=bm[:, 1:])
+        rw0, bm1 = rw[:, :-1], bm[:, 1:]
         # at step ends: after the jump and against the left limit
-        sup = np.abs(bm - rw).max(axis=1)
-        sup = np.maximum(sup, np.abs(bm - rw0).max(axis=1))
-        if oversample > 1:
-            # bridge samples between step endpoints, sequential conditionals
-            x = bm0.copy()
-            for r in range(1, oversample):
-                rem = oversample - r + 1
-                mean = x + (bm - x) / rem
-                var = dt / oversample * (rem - 1) / rem
-                x = mean + math.sqrt(var) * rng.standard_normal((s, n))
-                sup = np.maximum(sup, np.abs(x - rw0).max(axis=1))
+        gap = np.abs(bm1 - rw[:, 1:])
+        sup = gap.max(axis=1)
+        np.maximum(sup, _abs_diff(bm1, rw0, gap).max(axis=1), out=sup)
+        # bridge samples between step endpoints, sequential conditionals:
+        # x <- x + (bm1 - x) / rem + sqrt(var) * z, in place
+        x = bm[:, :-1].copy()
+        z = np.empty((s, n))
+        for r in range(1, oversample):
+            rem = oversample - r + 1
+            var = dt / oversample * (rem - 1) / rem
+            mean = np.subtract(bm1, x, out=gap)
+            mean /= rem
+            mean += x
+            rng.standard_normal(out=z)
+            z *= math.sqrt(var)
+            np.add(mean, z, out=x)
+            np.maximum(sup, _abs_diff(x, rw0, gap).max(axis=1), out=sup)
         sups.append(sup)
-    allsup = np.concatenate(sups)
-    return McEstimate(float(allsup.mean()),
-                      float(allsup.std(ddof=1) / math.sqrt(samples)),
-                      samples, seed)
+    return _estimate(np.concatenate(sups), seed)
 
 
 def euler_pair_cost(mu, sigma, x0: float, n: int, samples: int, seed: int,
                     fine_factor: int = 64) -> McEstimate:
     """E sup_t |X_t - X^n_t| for the coarse Euler scheme driven by the same
     Brownian increments as the fine reference (the identity coupling, which
-    is 1/n-bicausal when sigma is bounded away from zero)."""
+    is 1/n-bicausal when sigma is bounded away from zero).
+
+    All batches step together: the fine-step loop runs once over every
+    sample, and each batch's generator draws its normals _EULER_CHUNK steps
+    at a time.  One (chunk, s) draw equals chunk draws of size s, so the
+    estimate is bit-identical to stepping each batch on its own, and
+    fixed-seed values are those of the per-batch loop this replaced.
+    """
     if n < 1 or fine_factor < 1:
         raise ValueError("n and fine_factor must be >= 1")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
+    batches = [(np.random.default_rng(bseed), s)
+               for bseed, s in _batch_seeds(seed, samples)]
     nf = n * fine_factor
     dtf = 1.0 / nf
     sq = math.sqrt(dtf)
-    sups = []
-    sigma_min = np.inf
-    for bseed, s in _batch_seeds(seed, samples):
-        rng = np.random.default_rng(bseed)
-        x = np.full(s, float(x0))
-        xc = np.full(s, float(x0))
-        acc = np.zeros(s)
-        sup = np.zeros(s)
-        for k in range(nf):
+    x = np.full(samples, float(x0))
+    xc = x.copy()
+    acc = np.zeros(samples)
+    sup = np.zeros(samples)
+    for k0 in range(0, nf, _EULER_CHUNK):
+        chunk = min(_EULER_CHUNK, nf - k0)
+        dws = sq * np.concatenate([rng.standard_normal((chunk, s))
+                                   for rng, s in batches], axis=1)
+        for k, dw in enumerate(dws, start=k0):
             t = k * dtf
-            dw = sq * rng.standard_normal(s)
             sv = np.asarray(sigma(t, x), dtype=float)
-            sigma_min = min(sigma_min, float(sv.min()))
+            if not sv.min() > 0.0:   # NaN fails too
+                raise ValueError("sigma must stay strictly positive")
             x = x + np.asarray(mu(t, x), dtype=float) * dtf + sv * dw
             acc += dw
             if (k + 1) % fine_factor == 0:
-                sup = np.maximum(sup, np.abs(x - xc))  # before the coarse jump
+                np.maximum(sup, np.abs(x - xc), out=sup)  # before the coarse jump
                 tc = (k + 1 - fine_factor) * dtf
                 xc = xc + np.asarray(mu(tc, xc), dtype=float) / n \
                     + np.asarray(sigma(tc, xc), dtype=float) * acc
-                acc = np.zeros(s)
-            sup = np.maximum(sup, np.abs(x - xc))
-        sups.append(sup)
-    if sigma_min <= 0.0:
-        raise ValueError("sigma must stay strictly positive")
-    allsup = np.concatenate(sups)
-    return McEstimate(float(allsup.mean()),
-                      float(allsup.std(ddof=1) / math.sqrt(samples)),
-                      samples, seed)
+                acc = np.zeros(samples)
+            np.maximum(sup, np.abs(x - xc), out=sup)
+    return _estimate(sup, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -307,11 +307,14 @@ def transfer_stopping_time(pi: Coupling, eps: EpsShift, tau: StoppingRule,
 
 def transfer_identity_gap(pi: Coupling, eps: EpsShift, tau: StoppingRule,
                           phi: CostFunction) -> float:
-    """|u-integral - E_pi[phi(X, tau+eps)]|; zero up to rounding."""
+    """|u-integral - E_pi[phi(X, tau+eps)]|; zero up to rounding, and zero
+    when both sides are the same infinity (a terminal cost that stops early)."""
     fam = transfer_stopping_time(pi, eps, tau, check=False)
     a, b = np.nonzero(pi.weights > 0.0)
     costs = _stopped_costs(pi.left, a, tau.stop_times()[b] + eps.epsilon_time, phi)
-    return abs(fam.integral(phi) - float(_expectation(pi.weights[a, b], costs)))
+    lhs = fam.integral(phi)
+    rhs = float(_expectation(pi.weights[a, b], costs))
+    return 0.0 if lhs == rhs else abs(lhs - rhs)
 
 
 def os_from_transfer(pi: Coupling, eps: EpsShift, tau: StoppingRule,

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -220,5 +221,24 @@ def test_dist_rejects_tolerance(capsys):
 def test_bad_input_exits_with_one_line(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
     assert got == code
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("donsker", "--n-ladder", "16", "--eps-ladder", "0"),
+    ("donsker", "--n-ladder", "16", "--eps-ladder", "inf"),
+    ("donsker", "--n-ladder", "16", "--eps-ladder", "0.5", "--oversample", "0"),
+    ("donsker", "--n-ladder", "16", "--eps-ladder", "0.5", "--samples", "1"),
+    ("euler", "--n-ladder", "8", "--x0", "nan"),
+    ("euler", "--n-ladder", "8", "--x0", "inf"),
+    ("euler", "--n-ladder", "8", "--samples", "1"),
+], ids=["eps-zero", "eps-inf", "oversample-zero", "donsker-one-sample",
+        "x0-nan", "x0-inf", "euler-one-sample"])
+def test_mc_bad_parameters_exit_2(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(capsys, *argv)
+    assert got == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import ndtri
 
 from adapted_ot import (aldous_functional, bursty_time_change,
                         counterexample_pair, euler_pair_cost, figure1_pair,
@@ -13,6 +15,9 @@ from adapted_ot import (aldous_functional, bursty_time_change,
                         rw_bm_block_coupling_cost, shifted_time_change,
                         time_changed_bm_pair, tree_isomorphic, validate,
                         TimeGrid)
+from adapted_ot.experiments import euler_table
+from adapted_ot.generators import (_dyadic_split, _split_cdf, _split_counts,
+                                   _split_plan)
 
 
 def test_all_generated_trees_validate(rng):
@@ -222,3 +227,202 @@ def test_coefficient_grammar():
     for bad in ("x +", "foo(x)", "min(x)", "1..2"):
         with pytest.raises(ValueError):
             parse_coefficient(bad)
+
+
+# -- Monte-Carlo oracles: a per-batch Euler loop and a depth-first split --------
+
+
+def _oracle_batches(seed, samples, batch=512):
+    return [(seed + i * 2 ** 32, min(batch, samples - start))
+            for i, start in enumerate(range(0, samples, batch))]
+
+
+def _euler_per_batch(mu, sigma, x0, n, samples, seed, fine_factor):
+    """Euler pair cost stepping each 512-sample batch on its own, one normal
+    draw of the batch size per fine step."""
+    nf = n * fine_factor
+    dtf = 1.0 / nf
+    sq = math.sqrt(dtf)
+    sups = []
+    for bseed, s in _oracle_batches(seed, samples):
+        rng = np.random.default_rng(bseed)
+        x = np.full(s, float(x0))
+        xc = np.full(s, float(x0))
+        acc = np.zeros(s)
+        sup = np.zeros(s)
+        for k in range(nf):
+            t = k * dtf
+            dw = sq * rng.standard_normal(s)
+            sv = np.asarray(sigma(t, x), dtype=float)
+            x = x + np.asarray(mu(t, x), dtype=float) * dtf + sv * dw
+            acc += dw
+            if (k + 1) % fine_factor == 0:
+                sup = np.maximum(sup, np.abs(x - xc))
+                tc = (k + 1 - fine_factor) * dtf
+                xc = xc + np.asarray(mu(tc, xc), dtype=float) / n \
+                    + np.asarray(sigma(tc, xc), dtype=float) * acc
+                acc = np.zeros(s)
+            sup = np.maximum(sup, np.abs(x - xc))
+        sups.append(sup)
+    allsup = np.concatenate(sups)
+    return allsup.mean(), allsup.std(ddof=1) / math.sqrt(samples)
+
+
+MC_COEFFICIENTS = (("0", "1"), ("clip(-x, -1, 1)", "max(0.4, 1 - 0.5 * x * x)"))
+
+
+@pytest.mark.parametrize("fine_factor", [4, 16])
+@pytest.mark.parametrize("mu_text, sigma_text", MC_COEFFICIENTS)
+def test_stacked_euler_matches_per_batch_loop(mu_text, sigma_text, fine_factor):
+    mu, sigma = parse_coefficient(mu_text), parse_coefficient(sigma_text)
+    # 1300 samples: two full batches and a short one of 276
+    for n, samples, x0 in ((8, 1300, 0.0), (3, 512, 0.25), (5, 2, -0.5)):
+        est = euler_pair_cost(mu, sigma, x0, n, samples, 41, fine_factor=fine_factor)
+        assert (est.mean, est.std_error) == _euler_per_batch(
+            mu, sigma, x0, n, samples, 41, fine_factor)
+        assert (est.samples, est.seed) == (samples, 41)
+    want = [(n, *_euler_per_batch(mu, sigma, 0.0, n, 1300, 7, fine_factor))
+            for n in (2, 4, 8)]
+    for threads in (1, 3):
+        rec = euler_table(mu, sigma, 0.0, [8, 2, 4], 1300, 7,
+                          fine_factor=fine_factor, threads=threads)
+        assert rec.outputs["rows"] == want
+
+
+def test_euler_memory_does_not_grow_with_steps():
+    mu, sigma = parse_coefficient("0"), parse_coefficient("1")
+    peaks = []
+    for n in (4, 64):   # 64 and 1024 fine steps
+        tracemalloc.start()
+        try:
+            euler_pair_cost(mu, sigma, 0.0, n, 2000, 3, fine_factor=16)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the normals of all 1024 steps would take 1024 * 2000 * 8 B = 16 MB
+    assert peaks[1] < 1.25 * peaks[0] + 100_000
+    assert peaks[1] < 16_384_000 / 4
+
+
+def test_split_counts_match_hypergeom_ppf():
+    for L in range(2, 21):
+        L1 = L // 2
+        cdf = _split_cdf(L)
+        for c in range(L + 1):
+            dist = stats.hypergeom(L, c, L1)
+            lo, hi = max(0, L1 - (L - c)), min(c, L1)
+            edges = dist.cdf(np.arange(lo - 1, hi + 1))     # F(lo - 1) = 0 .. F(hi) = 1
+
+            def split(u):
+                u = np.asarray(u, dtype=float)
+                return _split_counts(cdf, np.full(u.shape, c), u).tolist()
+
+            # the table is scipy's CDF, exactly 0 below the support and 1 from its top
+            np.testing.assert_allclose(cdf[lo:hi, c], edges[1:-1], rtol=0, atol=1e-14)
+            assert (cdf[:lo, c] == 0.0).all() and (cdf[hi:, c] == 1.0).all()
+            # inside the atoms, and at both ends of [0, 1)
+            mids = (edges[:-1] + edges[1:]) / 2
+            assert split(mids) == dist.ppf(mids).astype(int).tolist()
+            assert split([0.0, 1.0 - 2 ** -53]) == [lo, hi]
+            assert dist.ppf(1.0 - 2 ** -53) == hi and dist.ppf(0.0) == lo - 1
+            # at an atom boundary u = F(j) the split is j + 1, as u lies in
+            # [F(j - 1), F(j)); scipy's ppf returns j there
+            assert split(cdf[lo:hi, c]) == list(range(lo + 1, hi + 1))
+            got = np.array(split(edges[1:-1]))
+            ppf = dist.ppf(edges[1:-1]).astype(int)
+            assert ((got == ppf) | (got == ppf + 1)).all()
+
+
+def test_dyadic_split_conserves_block_totals():
+    rng = np.random.default_rng(8)
+    for K in range(1, 21):
+        counts = rng.integers(0, K + 1, (50, 3))
+        winc = rng.standard_normal((50, 3))
+        plan = _split_plan(K)
+        assert len(plan) == (K - 1).bit_length()
+        cstep, wstep = _dyadic_split(rng, counts[..., None], winc[..., None],
+                                     plan, 1.0 / K)
+        assert cstep.shape == wstep.shape == (50, 3, K)
+        assert set(np.unique(cstep)) <= {0, 1}
+        assert np.array_equal(cstep.sum(axis=-1), counts)
+        np.testing.assert_allclose(wstep.sum(axis=-1), winc, rtol=0, atol=1e-12)
+
+
+def _depth_first_block_cost(n, eps, samples, seed, oversample=4):
+    """The block coupling with the split count drawn by rng.hypergeometric
+    node by node, depth first, and the bridge quantile drawn uniformly on
+    the count's atom."""
+    B, K = round(1.0 / eps), round(eps * n)
+    dt = 1.0 / n
+    bcdf = stats.binom.cdf(np.arange(K + 1), K, 0.5)
+    bcdf[-1] = 1.0
+
+    def block(rng, counts, winc, L):
+        if L == 1:
+            return counts[..., None], winc[..., None]
+        L1 = L // 2
+        p1 = rng.hypergeometric(counts, L - counts, L1)
+        u = rng.random(counts.shape)
+        dist = stats.hypergeom(L, counts, L1)
+        ut = np.clip(dist.cdf(p1 - 1) + u * dist.pmf(p1), 1e-15, 1.0 - 1e-15)
+        w1 = winc * (L1 / L) + math.sqrt(dt * L1 * (L - L1) / L) * ndtri(ut)
+        c1, s1 = block(rng, p1, w1, L1)
+        c2, s2 = block(rng, counts - p1, winc - w1, L - L1)
+        return np.concatenate([c1, c2], axis=-1), np.concatenate([s1, s2], axis=-1)
+
+    sups = []
+    for bseed, s in _oracle_batches(seed, samples):
+        rng = np.random.default_rng(bseed)
+        v = rng.random((s, B))
+        counts = np.searchsorted(bcdf, v, side="left")
+        winc = math.sqrt(eps) * ndtri(np.clip(v, 1e-15, 1 - 1e-15))
+        cstep, wstep = block(rng, counts, winc, K)
+        rw = np.cumsum((2 * cstep - 1).reshape(s, n) / math.sqrt(n), axis=1)
+        bm = np.cumsum(wstep.reshape(s, n), axis=1)
+        rw0 = np.concatenate([np.zeros((s, 1)), rw[:, :-1]], axis=1)
+        x = np.concatenate([np.zeros((s, 1)), bm[:, :-1]], axis=1)
+        sup = np.maximum(np.abs(bm - rw).max(axis=1), np.abs(bm - rw0).max(axis=1))
+        for r in range(1, oversample):
+            rem = oversample - r + 1
+            var = dt / oversample * (rem - 1) / rem
+            x = x + (bm - x) / rem + math.sqrt(var) * rng.standard_normal((s, n))
+            sup = np.maximum(sup, np.abs(x - rw0).max(axis=1))
+        sups.append(sup)
+    allsup = np.concatenate(sups)
+    return allsup.mean(), allsup.std(ddof=1) / math.sqrt(samples)
+
+
+@pytest.mark.parametrize("n, eps", [(32, 0.25), (24, 0.5), (20, 1.0)])
+def test_depth_synchronous_split_has_the_depth_first_law(n, eps):
+    # K = eps * n steps per block: 8, 12 and 20; the last two split unevenly
+    est = rw_bm_block_coupling_cost(n, eps, 4000, 5)
+    mean, se = _depth_first_block_cost(n, eps, 4000, 6)
+    assert abs(est.mean - mean) <= 4.0 * math.hypot(est.std_error, se)
+
+
+def test_mc_estimators_need_two_samples():
+    mu, sigma = parse_coefficient("0"), parse_coefficient("1")
+    with pytest.raises(ValueError, match="samples must be >= 2"):
+        rw_bm_block_coupling_cost(16, 0.5, 1, 0)
+    with pytest.raises(ValueError, match="samples must be >= 2"):
+        euler_pair_cost(mu, sigma, 0.0, 8, 1, 0)
+    assert rw_bm_block_coupling_cost(16, 0.5, 2, 0).std_error > 0.0
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"eps": 0.0}, "eps must be finite and positive"),
+    ({"eps": math.inf}, "eps must be finite and positive"),
+    ({"eps": math.nan}, "eps must be finite and positive"),
+    ({"oversample": 0}, "oversample must be >= 1"),
+])
+def test_block_coupling_rejects_bad_parameters(kwargs, match):
+    args = {"n": 16, "eps": 0.5, "samples": 10, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        rw_bm_block_coupling_cost(**args)
+
+
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_euler_rejects_non_finite_start(x0):
+    mu, sigma = parse_coefficient("0"), parse_coefficient("1")
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        euler_pair_cost(mu, sigma, x0, 8, 10, 0)
