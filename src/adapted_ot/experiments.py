@@ -113,6 +113,13 @@ def euler_table(mu, sigma, x0: float, n_ladder, samples: int, seed: int,
 # Topology comparison table
 
 
+# Largest leaf product x.n_leaves * y.n_leaves for which a table row has a
+# Hellwig column; above it the column is NaN.  Hellwig's ground transports
+# cover that many cells at every level, and at the root they are one dense
+# transport of all leaves against all leaves, so larger pairs would
+# dominate the time of a row.
+HELLWIG_MAX_LEAF_CELLS = 2048
+
 OS_BATTERY = ("state:identity", "state:abs", "running-max:identity",
               "state:call(0.25)")
 
@@ -167,7 +174,7 @@ def topology_table(family: str, ladder, p: float = 1.0,
 
     def run(param):
         x, y = _pair_for(family, param)
-        with_hellwig = x.n_leaves * y.n_leaves <= 2048
+        with_hellwig = x.n_leaves * y.n_leaves <= HELLWIG_MAX_LEAF_CELLS
         return (param, _distance_row(x, y, p, with_hellwig=with_hellwig,
                                      metric=_FAMILY_METRIC[family]))
 

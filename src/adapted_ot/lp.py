@@ -8,9 +8,14 @@ every witness is a vertex.  `transport_lp` builds the marginal rows of a
 coupling as a sparse matrix and stacks any extra equality rows under them.
 Without extra rows, a transport with one atom on a side has one feasible
 plan, the other side's weights, and one with two atoms on a side is solved
-in closed form; `transport_batch` runs these closed forms over a batch of
-transports at once.  Every returned solution passes the same primal
-residual check.
+in closed form.
+
+`transport_batch` solves many transports without extra rows at once: the
+closed forms run over whole batches of one shape, and every member they
+leave open goes into block-diagonal LPs of at most `BLOCK_COLUMNS` columns,
+one HiGHS call each.  An optimal basis of a block-diagonal LP splits into
+bases of its blocks, so each member's plan is still a vertex.  Every
+returned solution passes the same primal residual check.
 
 scipy.optimize and scipy.sparse are imported on first use: processes that
 never solve an LP do not pay for them.
@@ -25,6 +30,11 @@ import numpy as np
 FEAS_TOL = 1e-10      # HiGHS primal and dual feasibility tolerance
 RESID_TOL = 1e-8      # largest |A x - b| accepted in a returned solution
 ZERO_TOL = 1e-14      # solution entries below this are set to exactly 0
+# Most columns in one block-diagonal LP of `transport_batch`.  HiGHS's own
+# memory grows by about 1.1-1.6 KB per column, so one LP over every member
+# of a large batch would raise peak memory by megabytes; a member larger
+# than this gets an LP to itself.
+BLOCK_COLUMNS = 1024
 
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": FEAS_TOL,
                   "dual_feasibility_tolerance": FEAS_TOL}
@@ -99,6 +109,16 @@ def _two_row_plan(p, q, cost):
     return np.stack([row0, q - row0], axis=-2)
 
 
+def _reduce(ufunc, a, axis):
+    """ufunc.reduce(a, axis), written out when the axis has one or two
+    entries: numpy's reductions over such short axes cost many times the
+    arithmetic they do."""
+    if a.shape[axis] > 2:
+        return ufunc.reduce(a, axis=axis)
+    at = (slice(None),) * axis
+    return ufunc(a[at + (0,)], a[at + (1,)]) if a.shape[axis] == 2 else a[at + (0,)]
+
+
 def _closed_form(p, q, cost):
     """Plans and residuals of a batch of transports with one or two atoms on
     a side: p (B, m), q (B, n), cost (B, m, n); negative weights give inf."""
@@ -110,10 +130,24 @@ def _closed_form(p, q, cost):
         plan = (_two_row_plan(p, q, cost) if m == 2 else
                 _two_row_plan(q, p, cost.swapaxes(1, 2)).swapaxes(1, 2))
         plan = np.where(plan < ZERO_TOL, 0.0, plan)
-    resid = np.maximum(np.abs(plan.sum(axis=2) - p).max(axis=1),
-                       np.abs(plan.sum(axis=1) - q).max(axis=1))
-    resid[(p < 0).any(axis=1) | (q < 0).any(axis=1)] = np.inf
+    resid = np.maximum(
+        _reduce(np.maximum, np.abs(_reduce(np.add, plan, 2) - p), 1),
+        _reduce(np.maximum, np.abs(_reduce(np.add, plan, 1) - q), 1))
+    resid[_reduce(np.logical_or, p < 0, 1) | _reduce(np.logical_or, q < 0, 1)] = np.inf
     return plan, resid
+
+
+def _marginal_rows(m: int, n: int, count: int):
+    """Column indices and row starts (CSR) of the marginal rows of `count`
+    m x n transports stacked block-diagonally.  Member k owns the columns
+    k*m*n onwards (row-major cells) and m + n rows: sum_j x[i, j] = p[i],
+    then sum_i x[i, j] = q[j].  Each column has two nonzeros."""
+    cells = np.arange(m * n)
+    first = m * n * np.arange(count)[:, None]
+    indices = np.concatenate([cells, cells.reshape(m, n).T.ravel()]) + first
+    starts = np.concatenate([np.arange(0, m * n, n),
+                             m * n + np.arange(0, m * n, m)]) + 2 * first
+    return indices.ravel(), starts.ravel()
 
 
 def _transport_rows(npp: int, nq: int, extra_rows):
@@ -121,12 +155,9 @@ def _transport_rows(npp: int, nq: int, extra_rows):
     the extra rows."""
     from scipy.sparse import csr_matrix, vstack
 
-    n = npp * nq
-    cells = np.arange(n)
-    indices = np.concatenate([cells, cells.reshape(npp, nq).T.ravel()])
-    indptr = np.concatenate([np.arange(0, n + 1, nq),
-                             n + npp * np.arange(1, nq + 1)])
-    A = csr_matrix((np.ones(2 * n), indices, indptr), shape=(npp + nq, n))
+    indices, starts = _marginal_rows(npp, nq, 1)
+    A = csr_matrix((np.ones(indices.size), indices,
+                    np.append(starts, indices.size)), shape=(npp + nq, npp * nq))
     if extra_rows is None:
         return A
     return vstack([A, csr_matrix(extra_rows)], format="csr")
@@ -154,20 +185,85 @@ def transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray,
     return lp_solve(LinearProgram(c, A, b))
 
 
-def transport_batch(p: np.ndarray, q: np.ndarray, cost: np.ndarray):
-    """`transport_lp` on a batch of one shape, p (B, m), q (B, n), cost
-    (B, m, n), with the closed forms run on the whole batch.  Returns the
-    values (B,), the plans (B, m, n) and the summed simplex iterations."""
-    B, m, n = cost.shape
-    plans, resid = (_closed_form(p, q, cost) if min(m, n) <= 2
-                    else (np.empty(cost.shape), np.full(B, np.inf)))
+def transport_batch(groups):
+    """`transport_lp` without extra rows over several batches at once, one
+    batch per shape: each group is p (B, m), q (B, n), cost (B, m, n).
+
+    The closed forms run on each whole group.  The members they leave open
+    (a failed residual check) and every member with three or more atoms on
+    both sides are packed, in order, into block-diagonal LPs of at most
+    `BLOCK_COLUMNS` columns, one `lp_solve` call each.  Returns one (values
+    (B,), plans (B, m, n)) pair per group and the summed simplex
+    iterations; an infeasible member raises `LPError`."""
+    plans, members = [], []
+    for p, q, cost in groups:
+        if min(cost.shape[1:]) <= 2:
+            plan, resid = _closed_form(p, q, cost)
+            members.append(np.flatnonzero(~(resid <= RESID_TOL)))
+        else:
+            plan = np.empty(cost.shape)
+            members.append(np.arange(len(cost)))
+        plans.append(plan)
+    iterations = _block_lps([(group, idx, plan) for group, idx, plan
+                             in zip(groups, members, plans) if idx.size])
+    out = []
+    for (_, _, cost), plan in zip(groups, plans):
+        B, m, n = cost.shape
+        # one dot product per member: values equal `c @ x` in `_optimal` exactly
+        values = np.matmul(cost.reshape(B, 1, m * n), plan.reshape(B, m * n, 1))
+        out.append((values.reshape(B), plan))
+    return out, iterations
+
+
+def _block_lps(open_members) -> int:
+    """Solve the members `idx` of each (group, idx, plan) of `open_members`
+    as block-diagonal LPs and write their plans into `plan`; returns the
+    summed simplex iterations."""
+    if not open_members:
+        return 0
+    from scipy.sparse import csr_matrix
+
     iterations = 0
-    for b in np.flatnonzero(~(resid <= RESID_TOL)):
-        res = transport_lp(p[b], q[b], cost[b])
+    for pack in _packs(open_members):
+        indices, starts, c, b, col = [], [], [], [], 0
+        for (p, q, cost), idx, _ in pack:
+            m, n = cost.shape[1:]
+            ind, st = _marginal_rows(m, n, idx.size)
+            indices.append(ind + col)
+            starts.append(st + 2 * col)
+            c.append(cost[idx].ravel())
+            b.append(np.concatenate([p[idx], q[idx]], axis=1).ravel())
+            col += idx.size * m * n
+        starts.append([2 * col])   # where the last row ends
+        A = csr_matrix((np.ones(2 * col), np.concatenate(indices),
+                        np.concatenate(starts)), shape=(sum(map(len, b)), col))
+        res = lp_solve(LinearProgram(np.concatenate(c), A, np.concatenate(b)))
         if res.status != "optimal":
             raise LPError(f"transport LP ended with status {res.status}")
-        plans[b] = res.x.reshape(m, n)
         iterations += res.iterations
-    # one dot product per member: values equal `c @ x` in `_optimal` exactly
-    values = np.matmul(cost.reshape(B, 1, m * n), plans.reshape(B, m * n, 1))
-    return values.reshape(B), plans, iterations
+        col = 0
+        for (_, _, cost), idx, plan in pack:
+            size = idx.size * cost[0].size
+            plan[idx] = res.x[col:col + size].reshape(idx.size, *cost.shape[1:])
+            col += size
+    return iterations
+
+
+def _packs(open_members):
+    """Split the members, in order, into packs of (group, idx, plan) pieces
+    of at most BLOCK_COLUMNS columns in all; a member larger than that
+    makes a pack alone."""
+    pack, used = [], 0
+    for group, idx, plan in open_members:
+        size = group[2][0].size
+        while idx.size:
+            fits = max((BLOCK_COLUMNS - used) // size, 0 if used else 1)
+            if not fits:
+                yield pack
+                pack, used = [], 0
+                continue
+            pack.append((group, idx[:fits], plan))
+            used += idx[:fits].size * size
+            idx = idx[fits:]
+    if pack:
+        yield pack

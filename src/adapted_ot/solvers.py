@@ -26,7 +26,6 @@ from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _constraint_levels,
                        _path_distances, causality_constraints, is_eps_bicausal,
                        is_eps_causal, path_cost_matrix, transport_cost)
 from .lp import LPError, transport_batch, transport_lp
-from .prediction import rank1_conditional_laws
 from .trees import FilteredTree, align, check_valid, law, _path_ids
 
 DEFAULT_CELL_CAP = 40_000
@@ -186,33 +185,47 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
 def _child_transports(x, y, level, child_value):
     """Couple the children of every parent pair of `level` (level 0 hangs
     from one virtual root pair) at the costs `child_value`, one batch per
-    pair of child counts.  Returns the values over the parent pairs, the
-    conditional plans over the pairs at `level` and the iterations."""
-    bx, by = _sibling_blocks(x, level), _sibling_blocks(y, level)
-    values = np.empty((sum(v.size for v, _ in bx), sum(v.size for v, _ in by)))
+    pair of child counts, all in one `transport_batch` call.  Returns the
+    values over the parent pairs, the conditional plans over the pairs at
+    `level` and the iterations."""
+    bx, by = ([(nodes, kids, t.probs[level][kids])
+               for nodes, kids in _count_blocks(t.parents[level])] for t in (x, y))
+    groups, slots = _pair_groups(bx, by, child_value)
+    solved, iters = transport_batch(groups)
+    values = np.empty((sum(v.size for v, _, _ in bx), sum(v.size for v, _, _ in by)))
     plans = np.empty(child_value.shape)
-    iters = 0
-    for vx, cx in bx:
-        for vy, cy in by:
-            (nx, a), (ny, b) = cx.shape, cy.shape
-            cells = (cx[:, None, :, None], cy[None, :, None, :])
-            p = np.broadcast_to(x.probs[level][cx][:, None], (nx, ny, a))
-            q = np.broadcast_to(y.probs[level][cy], (nx, ny, b))
-            val, plan, it = transport_batch(p.reshape(-1, a), q.reshape(-1, b),
-                                            child_value[cells].reshape(-1, a, b))
-            values[np.ix_(vx, vy)] = val.reshape(nx, ny)
-            plans[cells] = plan.reshape(nx, ny, a, b)
-            iters += it
+    for (vx, vy, cells), (val, plan) in zip(slots, solved):
+        values[np.ix_(vx, vy)] = val.reshape(vx.size, vy.size)
+        plans[cells] = plan.reshape(vx.size, vy.size, *plan.shape[1:])
     return values, plans, iters
 
 
-def _sibling_blocks(tree, level):
-    """(parents, children) per child count of the parents of `level`, with
-    children[r] the children of parents[r] in index order."""
-    up = tree.parents[level]
-    count = np.bincount(up)
+def _pair_groups(bx, by, cost):
+    """`transport_batch` groups that couple every x node with every y node.
+    A block is (nodes, members (G, k), weights (G, k)): the nodes whose
+    transports have k atoms on that side, their atoms as indices into
+    `cost` and the atoms' weights.  Returns one group per pair of blocks,
+    and per group its x nodes, its y nodes and its cells of `cost`."""
+    groups, slots = [], []
+    for vx, mx, wx in bx:
+        for vy, my, wy in by:
+            (nx, a), (ny, b) = mx.shape, my.shape
+            cells = (mx[:, None, :, None], my[None, :, None, :])
+            groups.append((np.broadcast_to(wx[:, None], (nx, ny, a)).reshape(-1, a),
+                           np.broadcast_to(wy, (nx, ny, b)).reshape(-1, b),
+                           cost[cells].reshape(-1, a, b)))
+            slots.append((vx, vy, cells))
+    return groups, slots
+
+
+def _count_blocks(owner):
+    """(owners, members) per member count, where owner[k] is the owner of
+    k and members[r] lists the k owned by owners[r] in index order: the
+    children of the parents of a level, or the leaves under the nodes of
+    one."""
+    count = np.bincount(owner)
     first = np.cumsum(count) - count
-    order = np.argsort(up, kind="stable")
+    order = np.argsort(owner, kind="stable")
     return [(nodes, order[first[nodes][:, None] + np.arange(count[nodes[0]])])
             for nodes in (np.flatnonzero(count == k) for k in np.unique(count))]
 
@@ -394,13 +407,6 @@ def strict_scw(x: FilteredTree, y: FilteredTree, p: float = 1.0,
 # Hellwig information metric
 
 
-def _ot_value(p, q, cost) -> float:
-    res = transport_lp(np.asarray(p, float), np.asarray(q, float), cost)
-    if res.status != "optimal":
-        raise LPError(f"inner transport status {res.status}")
-    return max(res.value, 0.0)
-
-
 def hellwig(x: FilteredTree, y: FilteredTree) -> DistanceReport:
     """Time-integrated weak distance between the laws of the rank-1
     prediction processes, all ground metrics truncated at 1.
@@ -409,30 +415,45 @@ def hellwig(x: FilteredTree, y: FilteredTree) -> DistanceReport:
     ground distance W1 between conditional laws with path ground sup^1.
     The integral weights each level by its time gap (the segment starting at
     the root time included); the terminal term is added unweighted.
+
+    The levels are independent, so the ground transports of every level go
+    into one `transport_batch` call, grouped by the sizes of the two
+    conditional laws, and the level transports into a second one.
     """
     t0 = time.perf_counter()
     x, y = _prepare(x, y, 1.0)
     base = np.minimum(path_cost_matrix(x, y), 1.0)
-    cx, cy = rank1_conditional_laws(x), rank1_conditional_laws(y)
     times = np.array((0.0,) + x.grid.times)
     n_levels = x.n_levels
-    total = 0.0
-    level_terms = []
+    groups, slots = [], []
     for i in range(n_levels):
-        px = x.node_probs[i]
-        py = y.node_probs[i]
-        ground = np.empty((px.size, py.size))
-        for a in range(px.size):
-            wa, la = cx[i][a]
-            for b in range(py.size):
-                wb, lb = cy[i][b]
-                ground[a, b] = _ot_value(wa, wb, base[np.ix_(la, lb)])
-        term = _ot_value(px, py, ground)
-        level_terms.append(term)
-        if i < n_levels - 1:
-            total += (times[i + 1] - times[i]) * term
-        else:
-            total += term
+        level_groups, level_slots = _pair_groups(_law_blocks(x, i),
+                                                 _law_blocks(y, i), base)
+        groups += level_groups
+        slots += [(i, vx, vy) for vx, vy, _ in level_slots]
+    solved, iters = transport_batch(groups)
+    ground = [np.empty((len(x.levels[i]), len(y.levels[i])))
+              for i in range(n_levels)]
+    for (i, ax, ay), (val, _) in zip(slots, solved):
+        ground[i][np.ix_(ax, ay)] = np.maximum(val, 0.0).reshape(ax.size, ay.size)
+    solved, outer_iters = transport_batch(
+        [(x.node_probs[i][None], y.node_probs[i][None], ground[i][None])
+         for i in range(n_levels)])
+    level_terms = [max(float(val[0]), 0.0) for val, _ in solved]
+    total = 0.0
+    for i, term in enumerate(level_terms):
+        total += (times[i + 1] - times[i]) * term if i < n_levels - 1 else term
     return DistanceReport("Hellwig", 1.0, total, None, 0.0, None,
                           {"level_terms": level_terms,
+                           "lp_iterations": iters + outer_iters,
                            "runtime_s": time.perf_counter() - t0})
+
+
+def _law_blocks(tree, level):
+    """(nodes, leaves, weights) per conditional-law size at `level`: the
+    leaves under each node, in index order, and their weights given it."""
+    out = []
+    for nodes, leaves in _count_blocks(tree.ancestors[level]):
+        w = tree.leaf_probs[leaves]
+        out.append((nodes, leaves, w / w.sum(axis=1, keepdims=True)))
+    return out

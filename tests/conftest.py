@@ -21,6 +21,23 @@ def fig1():
     return figure1_pair(0.1)
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The LinearProgram of every `lp_solve` call made inside the test.  The
+    name is patched in `adapted_ot.lp`, where `transport_lp` and
+    `transport_batch` look it up, so every HiGHS call is seen."""
+    import adapted_ot.lp as lp
+
+    calls = []
+    solve = lp.lp_solve
+
+    def counted(prog):
+        calls.append(prog)
+        return solve(prog)
+    monkeypatch.setattr(lp, "lp_solve", counted)
+    return calls
+
+
 def two_coin_tree():
     """Fair coin at t=1/2 then fair coin at t=1, values are partial sums."""
     g = TimeGrid((0.5, 1.0))

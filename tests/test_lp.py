@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from adapted_ot import LinearProgram, lp_solve, transport_lp
+from adapted_ot.lp import (BLOCK_COLUMNS, RESID_TOL, LPError,
+                           transport_batch)
 
 
 def test_single_cell_transport():
@@ -182,3 +187,74 @@ def test_residual_contract(rng):
         plan = res.x.reshape(5, 4)
         assert np.abs(plan.sum(axis=1) - p).max() <= 1e-10
         assert np.abs(plan.sum(axis=0) - q).max() <= 1e-10
+
+
+def _batch_group(rng, m, n, count):
+    p = rng.dirichlet(np.ones(m), size=count)
+    q = rng.dirichlet(np.ones(n), size=count)
+    return p, q, rng.random((count, m, n))
+
+
+def test_transport_batch_matches_per_problem_lps(rng, lp_calls):
+    # 3 x 3 and larger members fill several block-diagonal LPs; the 33 x 32
+    # member is larger than one LP and is solved alone
+    shapes = {(1, 5): 7, (2, 4): 9, (6, 2): 8, (3, 3): 60, (4, 5): 40,
+              (8, 8): 20, (33, 32): 1, (2, 2): 5}
+    groups = [_batch_group(rng, m, n, k) for (m, n), k in shapes.items()]
+    solved, iterations = transport_batch(groups)
+    assert iterations > 0
+    # members are packed in order, each LP as full as the cap allows
+    packed = [0]
+    for size in (m * n for (m, n), k in shapes.items() if min(m, n) >= 3
+                 for _ in range(k)):
+        if packed[-1] and packed[-1] + size > BLOCK_COLUMNS:
+            packed.append(0)
+        packed[-1] += size
+    assert [lp.c.size for lp in lp_calls] == packed
+    assert len(packed) >= 4 and 33 * 32 in packed
+    for (p, q, cost), (values, plans) in zip(groups, solved):
+        m, n = cost.shape[1:]
+        assert values.shape == (len(cost),) and plans.shape == cost.shape
+        for b in range(len(cost)):
+            res = transport_lp(p[b], q[b], cost[b])
+            assert abs(values[b] - res.value) <= 1e-12
+            if min(m, n) <= 2:
+                # the closed forms give the per-problem plan bit for bit
+                assert np.array_equal(plans[b].ravel(), res.x)
+            plan = plans[b]
+            assert (plan >= 0).all()
+            assert np.abs(plan.sum(axis=1) - p[b]).max() <= RESID_TOL
+            assert np.abs(plan.sum(axis=0) - q[b]).max() <= RESID_TOL
+            assert np.count_nonzero(plan) <= m + n - 1  # a vertex
+            assert values[b] == cost[b].ravel() @ plan.ravel()
+
+
+def test_transport_batch_makes_no_lp_for_closed_forms(rng, lp_calls):
+    groups = [_batch_group(rng, m, n, 50) for m, n in ((1, 3), (2, 7), (5, 2))]
+    solved, iterations = transport_batch(groups)
+    assert lp_calls == [] and iterations == 0
+    assert [plans.shape for _, plans in solved] == [(50, 1, 3), (50, 2, 7),
+                                                   (50, 5, 2)]
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 4), (4, 2), (3, 3), (5, 4)])
+def test_transport_batch_negative_weight_raises(rng, shape):
+    p, q, cost = _batch_group(rng, *shape, 4)
+    side = p if shape[0] > 1 else q
+    side[2, 0] += 1.0
+    side[2, -1] -= 1.0  # still balanced, but one weight is negative
+    good = _batch_group(rng, 3, 3, 2)
+    with pytest.raises(LPError, match="infeasible"):
+        transport_batch([good, (p, q, cost)])
+
+
+def test_closed_form_batches_import_no_scipy():
+    # every child block of rw x bm has one or two atoms on a side
+    code = ("import sys, adapted_ot as ao\n"
+            "ao.nested_bicausal(ao.random_walk_tree(4), ao.quantized_bm_tree(4, 2))\n"
+            "print(sorted(m for m in ('scipy.sparse', 'scipy.optimize')"
+            " if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ,
+                         "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"

@@ -7,8 +7,10 @@ from adapted_ot import (FilteredTree, Node, aw, counterexample_pair, cw,
                         quantized_bm_tree, random_tree, random_walk_tree, scw,
                         strict_scw, tree_isomorphic, wasserstein,
                         coarsen_filtration, TimeGrid)
-from adapted_ot.coupling import X_TO_Y, Y_TO_X, ZERO_SHIFT, is_eps_causal
+from adapted_ot.coupling import (X_TO_Y, Y_TO_X, ZERO_SHIFT, is_eps_causal,
+                                  path_cost_matrix)
 from adapted_ot.lp import transport_lp
+from adapted_ot.prediction import rank1_conditional_laws
 from adapted_ot.solvers import DistanceReport
 from adapted_ot.trees import align, regrid
 
@@ -530,3 +532,64 @@ def test_shift_price_counts_the_root_time_of_a_multi_atom_root():
     x3, y3 = regrid(x, g3), regrid(y, g3)
     assert eps_bicausal_lp(x3, y3, 1).epsilon_time == pytest.approx(0.8)
     assert eps_bicausal_lp(x3, y3, 2).epsilon_time == pytest.approx(0.9)
+
+
+def _hellwig_oracle(x, y):
+    """Hellwig's value and level terms by one `transport_lp` call per pair of
+    conditional laws and one per level."""
+    x, y = align(x, y)
+    base = np.minimum(path_cost_matrix(x, y), 1.0)
+    cx, cy = rank1_conditional_laws(x), rank1_conditional_laws(y)
+    times = np.array((0.0,) + x.grid.times)
+
+    def ot(p, q, cost):
+        res = transport_lp(p, q, cost)
+        assert res.status == "optimal"
+        return max(res.value, 0.0)
+    terms = []
+    for i in range(x.n_levels):
+        ground = np.array([[ot(wa, wb, base[np.ix_(la, lb)]) for wb, lb in cy[i]]
+                           for wa, la in cx[i]])
+        terms.append(ot(x.node_probs[i], y.node_probs[i], ground))
+    total = sum((times[i + 1] - times[i]) * t for i, t in enumerate(terms[:-1]))
+    return total + terms[-1], terms
+
+
+def test_hellwig_matches_per_pair_oracle(rng, fig1):
+    pairs = [fig1, counterexample_pair(2, 8), counterexample_pair(3, 12),
+             (random_walk_tree(5), quantized_bm_tree(5, 2))]
+    for k in range(30):
+        make = coarse_tree if k % 2 else random_tree
+        kw = dict(root_atoms=int(rng.integers(1, 3)), branching=(1, 2, 3, 4))
+        pairs.append((make(rng, **kw), make(rng, **kw)))
+    for x, y in pairs:
+        rep = hellwig(x, y)
+        value, terms = _hellwig_oracle(x, y)
+        assert abs(rep.value - value) <= 1e-12
+        assert len(rep.diagnostics["level_terms"]) == len(terms)
+        for got, want in zip(rep.diagnostics["level_terms"], terms):
+            assert abs(got - want) <= 1e-12
+
+
+def test_hellwig_report_keys(fig1):
+    rep = hellwig(*fig1)
+    assert set(rep.diagnostics) == {"level_terms", "lp_iterations", "runtime_s"}
+    assert rep.diagnostics["lp_iterations"] == 0  # closed forms only
+    big = hellwig(random_walk_tree(5), quantized_bm_tree(5, 2))
+    assert big.diagnostics["lp_iterations"] > 0
+
+
+def test_hellwig_solves_few_lps(lp_calls):
+    # solved pair by pair, as `_hellwig_oracle` does, this takes 89 calls
+    hellwig(random_walk_tree(5), quantized_bm_tree(5, 2))
+    assert 1 <= len(lp_calls) <= 6
+
+
+def test_nested_makes_one_lp_per_level_with_a_3x3(lp_calls):
+    x, y = align(*counterexample_pair(3, 12))
+    # levels at which some parent pair has three children on both sides
+    wide = sum(np.bincount(x.parents[i]).max() >= 3
+               and np.bincount(y.parents[i]).max() >= 3
+               for i in range(x.n_levels))
+    nested_bicausal(x, y)
+    assert len(lp_calls) == wide == 11
