@@ -2,13 +2,24 @@
 
 min c.x  s.t.  A x = b, x >= 0.
 
-`lp_solve` is a thin wrapper over scipy's HiGHS interface (Huangfu & Hall,
-Math. Prog. Comp. 2018).  The dual simplex ends on a basic solution, so
-every witness is a vertex.  `transport_lp` builds the marginal rows of a
-coupling as a sparse matrix and stacks any extra equality rows under them.
-Without extra rows, a transport with one atom on a side has one feasible
-plan, the other side's weights, and one with two atoms on a side is solved
-in closed form.
+`lp_solve` calls HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) through the
+binding that scipy ships, `scipy.optimize._highspy._core`, the one that
+`scipy.optimize.linprog` uses.  It passes the options linprog passes for
+`method="highs-ds"`: presolve on, the simplex solver with the dual
+strategy, primal and dual feasibility tolerances `FEAS_TOL`, no output and
+no debug checks; everything else stays at the HiGHS defaults.  The same
+solver with the same options gives the same solutions and iteration counts
+as linprog, without linprog's input cleaning and result assembly.  The
+model status maps to a result as linprog maps it: optimal, infeasible
+(a model error counts as infeasible), unbounded, or `LPError` for the
+rest.  As in linprog's result check, a NaN entry or one below `-BOUND_TOL`
+in an optimal solution raises `LPError`.  The dual simplex ends on a basic
+solution, so every witness is a vertex.
+
+`transport_lp` builds the marginal rows of a coupling as a sparse matrix
+and stacks any extra equality rows under them.  Without extra rows, a
+transport with one atom on a side has one feasible plan, the other side's
+weights, and one with two atoms on a side is solved in closed form.
 
 `transport_batch` solves many transports without extra rows at once: the
 closed forms run over whole batches of one shape, and every member they
@@ -23,6 +34,7 @@ never solve an LP do not pay for them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,14 +42,18 @@ import numpy as np
 FEAS_TOL = 1e-10      # HiGHS primal and dual feasibility tolerance
 RESID_TOL = 1e-8      # largest |A x - b| accepted in a returned solution
 ZERO_TOL = 1e-14      # solution entries below this are set to exactly 0
+# An optimal solution with an entry below -BOUND_TOL is a solver failure;
+# linprog's result check uses the same bound, 10 * sqrt(1e-9).
+BOUND_TOL = 10 * np.sqrt(1e-9)
 # Most columns in one block-diagonal LP of `transport_batch`.  HiGHS's own
 # memory grows by about 1.1-1.6 KB per column, so one LP over every member
 # of a large batch would raise peak memory by megabytes; a member larger
 # than this gets an LP to itself.
 BLOCK_COLUMNS = 1024
 
-_HIGHS_OPTIONS = {"primal_feasibility_tolerance": FEAS_TOL,
-                  "dual_feasibility_tolerance": FEAS_TOL}
+# HiGHS model status -> result status, as linprog maps them
+_STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible",
+           "kModelError": "infeasible", "kUnbounded": "unbounded"}
 
 
 class LPError(RuntimeError):
@@ -74,25 +90,78 @@ def _optimal(c, x, iterations, resid) -> LPResult:
     return LPResult("optimal", float(c @ x), x, iterations, {"residual": resid})
 
 
+@functools.cache
+def _highs():
+    """scipy's HiGHS binding and the options linprog passes for highs-ds."""
+    from scipy.optimize._highspy import _core as highs
+
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.solver = "simplex"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = FEAS_TOL
+    options.dual_feasibility_tolerance = FEAS_TOL
+    options.output_flag = False
+    options.log_to_console = False
+    options.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    return highs, options
+
+
+def _highs_solve(c, A, b):
+    """One HiGHS run on min c.x, A x = b, x >= 0.  Returns the name of the
+    model status, the column values (None unless optimal) and the simplex
+    iterations.  Non-finite data raises ValueError, as in linprog."""
+    from scipy.sparse import csc_array
+
+    highs, options = _highs()
+    A = csc_array(A)
+    if not (np.isfinite(c).all() and np.isfinite(b).all()
+            and np.isfinite(A.data).all()):
+        raise ValueError("LP data must be finite")
+    m, n = A.shape
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    solver = highs._Highs()
+    solver.passOptions(options)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        return "kModelError", None, 0
+    if solver.run() == highs.HighsStatus.kError:
+        return solver.getModelStatus().name, None, 0
+    status = solver.getModelStatus()
+    iterations = solver.getInfo().simplex_iteration_count
+    if status != highs.HighsModelStatus.kOptimal:
+        return status.name, None, iterations
+    return status.name, np.array(solver.getSolution().col_value), iterations
+
+
 def lp_solve(lp: LinearProgram) -> LPResult:
     """Solve to an optimal basic solution; status optimal/infeasible/unbounded."""
     c, A, b = lp.c, lp.A, lp.b
     n = c.size
     if n == 0:
         return LPResult("optimal", 0.0, np.zeros(0), 0)
-    from scipy.optimize import linprog
-
-    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds",
-                  options=_HIGHS_OPTIONS)
-    if res.status == 2:
-        return LPResult("infeasible", np.nan, np.full(n, np.nan), res.nit)
-    if res.status == 3:
-        return LPResult("unbounded", -np.inf, np.full(n, np.nan), res.nit)
-    if res.status != 0:
-        raise LPError(f"HiGHS status {res.status}: {res.message}")
-    x = np.where(res.x < ZERO_TOL, 0.0, res.x)
+    highs_status, x, iterations = _highs_solve(c, A, b)
+    status = _STATUS.get(highs_status)
+    if status == "infeasible":
+        return LPResult(status, np.nan, np.full(n, np.nan), iterations)
+    if status == "unbounded":
+        return LPResult(status, -np.inf, np.full(n, np.nan), iterations)
+    if status is None:
+        raise LPError(f"HiGHS model status {highs_status}")
+    if np.isnan(x).any() or (x < -BOUND_TOL).any():
+        raise LPError("HiGHS solution has a NaN entry or violates x >= 0")
+    x = np.where(x < ZERO_TOL, 0.0, x)
     resid = float(np.max(np.abs(A @ x - b), initial=0.0))
-    return _optimal(c, x, res.nit, resid)
+    return _optimal(c, x, iterations, resid)
 
 
 def _two_row_plan(p, q, cost):
@@ -101,11 +170,21 @@ def _two_row_plan(p, q, cost):
     fractional knapsack: row 0 takes whole columns in ascending order of
     cost[0] - cost[1] (stable sort, so ties go in index order) until p[0]
     is spent.  At most one column is split, so each plan is a vertex."""
-    order = np.argsort(cost[..., 0, :] - cost[..., 1, :], axis=-1, kind="stable")
-    qs = np.take_along_axis(q, order, axis=-1)
-    before = np.cumsum(np.insert(qs[..., :-1], 0, 0.0, axis=-1), axis=-1)
-    row0 = np.empty_like(q)
-    np.put_along_axis(row0, order, np.clip(p[..., :1] - before, 0.0, qs), axis=-1)
+    if q.shape[-1] == 2:
+        # the sort is one comparison, which puts a NaN difference last too
+        d0 = cost[..., 0, 0] - cost[..., 1, 0]
+        d1 = cost[..., 0, 1] - cost[..., 1, 1]
+        swap = ~(d0 <= d1) & (d1 == d1)
+        first = np.where(swap, q[..., 1], q[..., 0])
+        head = np.clip(p[..., 0], 0.0, first)
+        tail = np.clip(p[..., 0] - first, 0.0, np.where(swap, q[..., 0], q[..., 1]))
+        row0 = np.stack([np.where(swap, tail, head), np.where(swap, head, tail)], axis=-1)
+    else:
+        order = np.argsort(cost[..., 0, :] - cost[..., 1, :], axis=-1, kind="stable")
+        qs = np.take_along_axis(q, order, axis=-1)
+        before = np.cumsum(np.insert(qs[..., :-1], 0, 0.0, axis=-1), axis=-1)
+        row0 = np.empty_like(q)
+        np.put_along_axis(row0, order, np.clip(p[..., :1] - before, 0.0, qs), axis=-1)
     return np.stack([row0, q - row0], axis=-2)
 
 

@@ -6,9 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from adapted_ot import LinearProgram, lp_solve, transport_lp
-from adapted_ot.lp import (BLOCK_COLUMNS, RESID_TOL, LPError,
-                           transport_batch)
+import adapted_ot.lp as lp_module
+from adapted_ot import (LinearProgram, align, counterexample_pair,
+                        eps_bicausal_lp, figure1_pair, lp_solve,
+                        nested_bicausal, random_tree, transport_lp)
+from adapted_ot.lp import (BLOCK_COLUMNS, FEAS_TOL, RESID_TOL, ZERO_TOL,
+                           LPError, _two_row_plan, transport_batch)
 
 
 def test_single_cell_transport():
@@ -258,3 +261,159 @@ def test_closed_form_batches_import_no_scipy():
                          text=True, check=True, env={**os.environ,
                          "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "[]"
+
+
+def _argsort_two_row_plan(p, q, cost):
+    """`_two_row_plan` by a stable sort of cost[0] - cost[1] for any number
+    of columns: the oracle of its two-column comparison."""
+    order = np.argsort(cost[..., 0, :] - cost[..., 1, :], axis=-1, kind="stable")
+    qs = np.take_along_axis(q, order, axis=-1)
+    before = np.cumsum(np.insert(qs[..., :-1], 0, 0.0, axis=-1), axis=-1)
+    row0 = np.empty_like(q)
+    np.put_along_axis(row0, order, np.clip(p[..., :1] - before, 0.0, qs), axis=-1)
+    return np.stack([row0, q - row0], axis=-2)
+
+
+@pytest.mark.parametrize("costs", ["random", "ties", "infinite"])
+def test_two_column_plan_matches_sort(rng, costs):
+    count = 4096
+    p = rng.dirichlet(np.ones(2), size=count)
+    q = rng.dirichlet(np.ones(2), size=count)
+    if costs == "random":
+        cost = rng.random((count, 2, 2))
+    else:   # few distinct values: equal cost differences are common
+        cost = rng.integers(0, 3, (count, 2, 2)).astype(float)
+    if costs == "infinite":   # inf - inf gives NaN differences
+        cost[rng.random(cost.shape) < 0.3] = np.inf
+    # both orientations of a 2 x 2: rows of p, then rows of q
+    with np.errstate(invalid="ignore"):
+        for a, b, c in ((p, q, cost), (q, p, cost.swapaxes(1, 2))):
+            assert np.array_equal(_two_row_plan(a, b, c),
+                                  _argsort_two_row_plan(a, b, c))
+        d = cost[:, 0] - cost[:, 1]
+    if costs == "ties":
+        assert (d[:, 0] == d[:, 1]).sum() > 100
+    if costs == "infinite":
+        assert np.isnan(d).any(axis=1).sum() > 100
+
+
+# ---------------------------------------------------------------------------
+# lp_solve calls HiGHS directly; scipy's linprog with method "highs-ds" and the
+# same tolerances is the oracle for status, solution and iteration count.
+
+
+def _linprog_oracle(prog):
+    from scipy.optimize import linprog
+
+    res = linprog(prog.c, A_eq=prog.A, b_eq=prog.b, bounds=(0, None),
+                  method="highs-ds",
+                  options={"primal_feasibility_tolerance": FEAS_TOL,
+                           "dual_feasibility_tolerance": FEAS_TOL})
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    x = None if res.x is None else np.where(res.x < ZERO_TOL, 0.0, res.x)
+    return status, x, res.nit
+
+
+def _transport_corpus(rng):
+    for m, n in ((3, 3), (4, 5), (6, 6), (7, 3)):
+        p = rng.dirichlet(np.ones(m))
+        q = rng.dirichlet(np.ones(n))
+        cost = rng.random((m, n))
+        yield p, q, cost, None, None
+        # extra rows that the product coupling satisfies
+        extra = rng.integers(-1, 2, (3, m * n)).astype(float)
+        yield p, q, cost, extra, extra @ np.outer(p, q).ravel()
+
+
+def _oracle_corpus(rng, lp_calls):
+    for p, q, cost, extra, rhs in _transport_corpus(rng):
+        transport_lp(p, q, cost, extra, rhs)
+    x, y = align(random_tree(rng), random_tree(rng))
+    for eps in (0, 1):
+        eps_bicausal_lp(x, y, eps)
+    transport_batch([_batch_group(rng, 3, 3, 40), _batch_group(rng, 4, 5, 10)])
+    assert len(lp_calls) == 11   # 8 transports, 2 shifts, 1 block LP
+    yield from lp_calls
+    yield from (
+        LinearProgram([1.0], [[1.0], [1.0]], [1.0, 2.0]),          # infeasible
+        LinearProgram([1.0, 1.0], [[1.0, 1.0]], [-1.0]),           # sign-infeasible
+        LinearProgram([-1.0, 0.0], [[0.0, 1.0]], [1.0]),           # unbounded
+        LinearProgram([1.0, 1.0], [[1.0, 1e16]], [1.0]),           # model error
+    )
+    p, q = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+    extra = np.zeros((2, 4))
+    extra[0, :2], extra[1, :2] = 1.0, 2.0
+    yield LinearProgram(rng.random(4),                             # redundant rows
+                        np.vstack([lp_module._transport_rows(2, 2, None).toarray(),
+                                   extra]), [*p, *q, p[0], 2 * p[0]])
+    yield LinearProgram(np.zeros(36), lp_module._transport_rows(6, 6, None),
+                        np.full(12, 1 / 6))                        # degenerate
+
+
+def test_lp_solve_matches_linprog(rng, lp_calls):
+    progs = list(_oracle_corpus(rng, lp_calls))
+    statuses = set()
+    for prog in progs:
+        res = lp_solve(prog)
+        status, x, nit = _linprog_oracle(prog)
+        assert res.status == status
+        assert res.iterations == nit
+        if status == "optimal":
+            assert np.array_equal(res.x, x)
+        statuses.add(status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_highs_options_match_linprog(monkeypatch):
+    # linprog hands its options to scipy's HiGHS wrapper as a dict; every
+    # option it sets must have the same value in lp_solve's options, and
+    # every other option must keep its HiGHS default
+    import scipy.optimize._linprog_highs as linprog_highs
+
+    seen = {}
+    wrapper = linprog_highs._highs_wrapper
+
+    def spy(*args):
+        seen.update(args[-1])
+        return wrapper(*args)
+    monkeypatch.setattr(linprog_highs, "_highs_wrapper", spy)
+    _linprog_oracle(LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0]))
+    highs, options = lp_module._highs()
+    passed = {key: ({True: "on", False: "off"}[val] if key == "presolve" else val)
+              for key, val in seen.items() if val is not None and key != "sense"}
+    assert {key: getattr(options, key) for key in passed} == passed
+    default = highs.HighsOptions()
+    names = [n for n in dir(default) if not n.startswith("_")
+             and not callable(getattr(default, n))]
+    assert len(names) > 50
+    assert ({n: getattr(options, n) for n in names if n not in passed}
+            == {n: getattr(default, n) for n in names if n not in passed})
+
+
+def test_lp_solve_rejects_non_finite_data():
+    for c, b in (([np.inf, 1.0], [1.0]), ([1.0, 1.0], [np.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            lp_solve(LinearProgram(c, [[1.0, 1.0]], b))
+
+
+def test_lp_solve_does_not_use_linprog(monkeypatch, lp_calls):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linprog called")
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    dp = nested_bicausal(*counterexample_pair(2, 8))
+    shifted = eps_bicausal_lp(*figure1_pair(0.1), eps=1)
+    assert len(lp_calls) >= 2
+    assert dp.verify_witness() and shifted.verify_witness()
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-3])
+def test_bad_solution_entry_raises(monkeypatch, bad):
+    # the second column is in no row, so clamping it to 0 would leave a
+    # solution that passes the residual check
+    monkeypatch.setattr(lp_module, "_highs_solve",
+                        lambda c, A, b: ("kOptimal", np.array([1.0, bad]), 1))
+    prog = LinearProgram([1.0, 0.0], [[1.0, 0.0]], [1.0])
+    with pytest.raises(LPError, match="NaN entry or violates x >= 0"):
+        lp_solve(prog)
