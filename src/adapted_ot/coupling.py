@@ -34,10 +34,6 @@ class EpsShift:
         if self.steps < 0 or self.epsilon_time < 0:
             raise ValueError("eps shift must be nonnegative")
 
-    @staticmethod
-    def for_grid(grid: TimeGrid, steps: int) -> "EpsShift":
-        return EpsShift(steps, grid.shift_time(steps))
-
 
 ZERO_SHIFT = EpsShift(0, 0.0)
 

@@ -562,141 +562,91 @@ def euler_pair_cost(mu, sigma, x0: float, n: int, samples: int, seed: int,
     xc = x.copy()
     acc = np.zeros(samples)
     sup = np.zeros(samples)
-    for k0 in range(0, nf, _EULER_CHUNK):
-        chunk = min(_EULER_CHUNK, nf - k0)
-        dws = sq * np.concatenate([rng.standard_normal((chunk, s))
-                                   for rng, s in batches], axis=1)
-        for k, dw in enumerate(dws, start=k0):
-            t = k * dtf
-            sv = np.asarray(sigma(t, x), dtype=float)
-            if not sv.min() > 0.0:   # NaN fails too
-                raise ValueError("sigma must stay strictly positive")
-            x = x + np.asarray(mu(t, x), dtype=float) * dtf + sv * dw
-            acc += dw
-            if (k + 1) % fine_factor == 0:
-                np.maximum(sup, np.abs(x - xc), out=sup)  # before the coarse jump
-                tc = (k + 1 - fine_factor) * dtf
-                xc = xc + np.asarray(mu(tc, xc), dtype=float) / n \
-                    + np.asarray(sigma(tc, xc), dtype=float) * acc
-                acc = np.zeros(samples)
-            np.maximum(sup, np.abs(x - xc), out=sup)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        for k0 in range(0, nf, _EULER_CHUNK):
+            chunk = min(_EULER_CHUNK, nf - k0)
+            dws = sq * np.concatenate([rng.standard_normal((chunk, s))
+                                       for rng, s in batches], axis=1)
+            for k, dw in enumerate(dws, start=k0):
+                t = k * dtf
+                sv = np.asarray(sigma(t, x), dtype=float)
+                if not sv.min() > 0.0:   # NaN fails too
+                    raise ValueError("sigma must stay strictly positive")
+                x = x + np.asarray(mu(t, x), dtype=float) * dtf + sv * dw
+                acc += dw
+                if (k + 1) % fine_factor == 0:
+                    # before the coarse jump
+                    np.maximum(sup, np.abs(x - xc), out=sup)
+                    tc = (k + 1 - fine_factor) * dtf
+                    xc = xc + np.asarray(mu(tc, xc), dtype=float) / n \
+                        + np.asarray(sigma(tc, xc), dtype=float) * acc
+                    acc = np.zeros(samples)
+                np.maximum(sup, np.abs(x - xc), out=sup)
+    if not np.isfinite(sup).all():
+        raise ValueError(f"the Euler path is not finite at n={n}")
     return _estimate(sup, seed)
 
 
 # ---------------------------------------------------------------------------
-# Coefficient expression grammar for the SDE experiments
-#
-#   expr   := term (("+" | "-") term)*
-#   term   := factor ("*" factor)*
-#   factor := "-" factor | atom
-#   atom   := NUMBER | "t" | "x" | "(" expr ")"
-#           | ("min" | "max" | "clip") "(" expr ("," expr)* ")"
+# Coefficient expressions for the SDE experiments
+
+_COEFFICIENT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789E.+-*(), ")
+_COEFFICIENT_ARITY = {"min": 2, "max": 2, "clip": 3}
+# All a compiled coefficient can reach: no builtins.  np.clip with scalar
+# bounds keeps clip(-0.0, 0, 1) at -0.0; array bounds and this form give +0.0.
+_COEFFICIENT_SCOPE = {
+    "__builtins__": {}, "min": np.minimum, "max": np.maximum,
+    "clip": lambda v, lo, hi: np.minimum(np.maximum(v, lo), hi)}
 
 
 def parse_coefficient(text: str) -> Callable:
     """Compile an expression over {t, x, numbers, +, -, *, min, max, clip}
-    into a numpy-vectorized coefficient function f(t, x)."""
-    tokens = _tokenize(text)
-    pos = [0]
+    into a numpy-vectorized coefficient function f(t, x).
 
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
+    Python's expression parser reads the text.  A node outside the grammar
+    (see the README), a number that is not finite, or input too deep to
+    parse raises ValueError.  Only the checked tree is compiled; numbers are
+    floats, and a constant result gives one float per entry of x."""
+    import ast   # loaded by dataclasses already; only this function reads it
 
-    def take(expected=None):
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"bad coefficient expression near token {tok!r}")
-        pos[0] += 1
-        return tok
+    text = " ".join(text.split())
+    if not set(text) <= _COEFFICIENT_CHARS or ",)" in text.replace(" ", ""):
+        raise ValueError(f"bad character or trailing comma in {text!r}")
 
-    def expr():
-        node = term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = term()
-            node = (lambda a, b: (lambda t, x: a(t, x) + b(t, x)))(node, rhs) \
-                if op == "+" else \
-                (lambda a, b: (lambda t, x: a(t, x) - b(t, x)))(node, rhs)
-        return node
-
-    def term():
-        node = factor()
-        while peek() == "*":
-            take()
-            rhs = factor()
-            node = (lambda a, b: (lambda t, x: a(t, x) * b(t, x)))(node, rhs)
-        return node
-
-    def factor():
-        if peek() == "-":
-            take()
-            inner = factor()
-            return lambda t, x: -inner(t, x)
-        return atom()
-
-    def atom():
-        tok = take()
-        if tok == "(":
-            node = expr()
-            take(")")
-            return node
-        if tok == "t":
-            return lambda t, x: t + 0.0 * np.asarray(x, dtype=float)
-        if tok == "x":
-            return lambda t, x: np.asarray(x, dtype=float)
-        if tok in ("min", "max", "clip"):
-            take("(")
-            args = [expr()]
-            while peek() == ",":
-                take()
-                args.append(expr())
-            take(")")
-            want = 3 if tok == "clip" else 2
-            if len(args) != want:
-                raise ValueError(f"{tok} expects {want} arguments")
-            if tok == "min":
-                a, b = args
-                return lambda t, x: np.minimum(a(t, x), b(t, x))
-            if tok == "max":
-                a, b = args
-                return lambda t, x: np.maximum(a(t, x), b(t, x))
-            a, lo, hi = args
-            return lambda t, x: np.clip(a(t, x), lo(t, x), hi(t, x))
-        try:
-            val = float(tok)
-        except ValueError:
-            raise ValueError(f"unexpected token {tok!r}") from None
-        return lambda t, x, _v=val: _v + 0.0 * np.asarray(x, dtype=float)
-
-    node = expr()
-    if peek() is not None:
-        raise ValueError(f"trailing tokens in expression: {tokens[pos[0]:]}")
-    return node
-
-
-def _tokenize(text: str):
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*(),":
-            out.append(ch)
-            i += 1
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
-                                     or (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            out.append(text[i:j])
-            i = j
+    def check(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in (ast.Add, ast.Sub,
+                                                             ast.Mult):
+            args = (node.left, node.right)
+        elif isinstance(node, ast.UnaryOp) and type(node.op) is ast.USub:
+            args = (node.operand,)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and _COEFFICIENT_ARITY.get(node.func.id) == len(node.args)
+              and not node.keywords):
+            args = node.args
+        elif isinstance(node, ast.Name) and node.id in ("t", "x"):
+            args = ()
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            src = ast.get_source_segment(text, node)
+            node.value = float(src)   # decimal only: '0x10' raises ValueError
+            if not math.isfinite(node.value):
+                raise ValueError(f"coefficient constant {src} is not finite")
+            args = ()
         else:
-            raise ValueError(f"bad character {ch!r} in expression")
-    return out
+            raise ValueError(f"not allowed: {ast.get_source_segment(text, node)}")
+        for arg in args:
+            check(arg)
+
+    try:
+        tree = ast.parse(text, mode="eval")
+        check(tree.body)
+        code = compile(tree, "<coefficient>", "eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ValueError(f"bad coefficient expression: {exc}") from None
+
+    def coefficient(t, x):
+        x = np.asarray(x, dtype=float)
+        out = eval(code, _COEFFICIENT_SCOPE,
+                   {"t": t + 0.0 * x if "t" in code.co_names else t, "x": x})
+        return out if isinstance(out, np.ndarray) else np.full(x.shape, out)
+
+    return coefficient

@@ -104,15 +104,6 @@ class TimeGrid:
         """Time of level i, with level 0 the root time 0."""
         return 0.0 if i == 0 else self.times[i - 1]
 
-    def ceil(self, t: float) -> float:
-        """Round t up to the next strictly larger grid point; 1 maps to 1."""
-        if t >= 1.0 - TIME_TOL:
-            return 1.0
-        for s in self.times:
-            if s > t + TIME_TOL:
-                return s
-        return 1.0
-
     def floor_level(self, t: float) -> int:
         """Level whose time interval [t_i, t_{i+1}) contains t; clamps to [0, N]."""
         if t >= 1.0 - TIME_TOL:
@@ -128,16 +119,6 @@ class TimeGrid:
             if abs(s - t) <= TIME_TOL:
                 return i
         raise ValueError(f"time {t} not on grid")
-
-    def shift_time(self, steps: int) -> float:
-        """Real time penalty of delaying information by `steps` grid levels:
-        the largest t_{min(i+steps, N)} - t_i over the interior times t_i.
-        The distances also count the root time when a root holds several
-        atoms (`coupling._constraint_levels`)."""
-        if steps <= 0:
-            return 0.0
-        n, t = self.n_steps, self.level_time
-        return max((t(min(i + steps, n)) - t(i) for i in range(1, n)), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -274,15 +255,6 @@ class FilteredTree:
 
     def level_time(self, i: int) -> float:
         return self.grid.level_time(i)
-
-    def terminal_values(self) -> np.ndarray:
-        return self.level_values[-1]
-
-    def max_oscillation(self) -> float:
-        """Largest along-path value range, sup over leaves of max_l |X_l - X_m|."""
-        p = self.leaf_paths
-        d = np.linalg.norm(p[:, :, None, :] - p[:, None, :, :], axis=-1)
-        return float(d.max()) if d.size else 0.0
 
 
 def validate(tree: FilteredTree) -> list:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from adapted_ot import FilteredTree, Node, TimeGrid, figure1_pair, random_tree
+from adapted_ot import (EpsShift, FilteredTree, Node, TimeGrid, figure1_pair,
+                        random_tree)
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic.
@@ -36,6 +37,16 @@ def lp_calls(monkeypatch):
         return solve(prog)
     monkeypatch.setattr(lp, "lp_solve", counted)
     return calls
+
+
+def interior_shift(grid, steps):
+    """EpsShift of `steps` levels priced over the interior times only: the
+    largest t_{min(i+steps, N)} - t_i for 0 < i < N.  That is the distances'
+    price when each root holds one atom; they also count the root time when
+    a root holds several."""
+    n, t = grid.n_steps, grid.level_time
+    price = max((t(min(i + steps, n)) - t(i) for i in range(1, n)), default=0.0)
+    return EpsShift(steps, price if steps > 0 else 0.0)
 
 
 def two_coin_tree():

@@ -27,6 +27,8 @@ from adapted_ot.coupling import path_cost_matrix
 from adapted_ot.stopping import random_rule, transfer_identity_gap
 from adapted_ot.trees import align
 
+from conftest import interior_shift
+
 
 def _report(criterion, ok, detail):
     print(f"[acceptance] criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -225,7 +227,7 @@ def test_criterion_06_transfer_identity():
     for _ in range(100):
         x, y = align(random_tree(rng), random_tree(rng))
         k = int(rng.integers(0, x.grid.n_steps + 1))
-        eps = EpsShift.for_grid(x.grid, k)
+        eps = interior_shift(x.grid, k)
         extra = _causality_blocks(x, y, k, (X_TO_Y,))
         rhs = np.zeros(extra.shape[0]) if extra is not None else None
         res = transport_lp(x.leaf_probs, y.leaf_probs,
@@ -487,8 +489,9 @@ def test_criterion_14_offset_and_timechange_phenomena():
     pi = Coupling(t1, t2, delay)
     pi.check()
     k_shift = round(shift * n_grid)
-    assert is_eps_bicausal(pi, EpsShift.for_grid(t1.grid, k_shift))[0]
-    oracle_aw = transport_cost(pi, 1.0, "l1") + t1.grid.shift_time(k_shift)
+    eps = interior_shift(t1.grid, k_shift)
+    assert is_eps_bicausal(pi, eps)[0]
+    oracle_aw = transport_cost(pi, 1.0, "l1") + eps.epsilon_time
     oracle_nested = transport_cost(product_coupling(t1, t2), 1.0, "l1")
     a = aw(t1, t2, metric="l1", witness=False).value
     nb = nested_bicausal(t1, t2, metric="l1", witness=False).value

@@ -217,6 +217,12 @@ def test_dist_rejects_tolerance(capsys):
     (("donsker", "--n-ladder", "16", "--eps-ladder", "1", "--samples", "0"), 2),
     (("euler", "--n-ladder", "8", "--samples", "-5"), 2),
     (("topology-table", "--family", "offset", "--ladder", "x"), 1),
+    # coefficients too deep to parse, and non-finite constants
+    (("euler", "--mu=" + "-" * 5000 + "x", "--n-ladder", "8"), 1),
+    (("euler", "--mu", "(" * 3000 + "x" + ")" * 3000, "--n-ladder", "8"), 1),
+    (("euler", "--mu", "x" + "+x" * 3000, "--n-ladder", "8"), 1),
+    (("euler", "--mu", "1e400", "--n-ladder", "8"), 1),
+    (("euler", "--sigma", "1" * 400, "--n-ladder", "8"), 1),
 ])
 def test_bad_input_exits_with_one_line(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
@@ -233,8 +239,10 @@ def test_bad_input_exits_with_one_line(capsys, argv, code):
     ("euler", "--n-ladder", "8", "--x0", "nan"),
     ("euler", "--n-ladder", "8", "--x0", "inf"),
     ("euler", "--n-ladder", "8", "--samples", "1"),
+    ("euler", "--mu", "x*x*x*x*x*x*x*x*x*x", "--sigma", "1", "--x0", "3",
+     "--n-ladder", "8", "--samples", "10"),
 ], ids=["eps-zero", "eps-inf", "oversample-zero", "donsker-one-sample",
-        "x0-nan", "x0-inf", "euler-one-sample"])
+        "x0-nan", "x0-inf", "euler-one-sample", "euler-path-not-finite"])
 def test_mc_bad_parameters_exit_2(capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

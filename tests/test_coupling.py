@@ -20,10 +20,7 @@ def comonotone_fig1(fig1):
     return Coupling(p, pe, w)
 
 
-def test_eps_shift_for_grid(fig1):
-    p, _ = fig1
-    assert EpsShift.for_grid(p.grid, 0).epsilon_time == 0.0
-    assert EpsShift.for_grid(p.grid, 1).epsilon_time == pytest.approx(0.5)
+def test_eps_shift_rejects_negative():
     with pytest.raises(ValueError):
         EpsShift(-1, 0.0)
 

@@ -36,10 +36,10 @@ def test_all_generated_trees_validate(rng):
 
 def test_rw_small_cases():
     t1 = random_walk_tree(1)
-    assert sorted(v[0] for v in t1.terminal_values()) == [-1.0, 1.0]
+    assert sorted(v[0] for v in t1.level_values[-1]) == [-1.0, 1.0]
     assert np.allclose(t1.leaf_probs, 0.5)
     t2 = random_walk_tree(2)
-    vals = sorted(v[0] for v in t2.terminal_values())
+    vals = sorted(v[0] for v in t2.level_values[-1])
     s2 = math.sqrt(2)
     assert vals == pytest.approx([-s2, 0.0, 0.0, s2])
     assert np.allclose(t2.leaf_probs, 0.25)
@@ -227,6 +227,209 @@ def test_coefficient_grammar():
     for bad in ("x +", "foo(x)", "min(x)", "1..2"):
         with pytest.raises(ValueError):
             parse_coefficient(bad)
+
+
+# -- the recursive-descent parser that `parse_coefficient` replaced, kept as
+# the oracle for its verdicts and values --------------------------------------
+#
+#   expr   := term (("+" | "-") term)*
+#   term   := factor ("*" factor)*
+#   factor := "-" factor | atom
+#   atom   := NUMBER | "t" | "x" | "(" expr ")"
+#           | ("min" | "max" | "clip") "(" expr ("," expr)* ")"
+
+
+def _oracle_coefficient(text):
+    tokens = _oracle_tokenize(text)
+    pos = [0]
+
+    def peek():
+        return tokens[pos[0]] if pos[0] < len(tokens) else None
+
+    def take(expected=None):
+        tok = peek()
+        if tok is None or (expected is not None and tok != expected):
+            raise ValueError(f"bad coefficient expression near token {tok!r}")
+        pos[0] += 1
+        return tok
+
+    def expr():
+        node = term()
+        while peek() in ("+", "-"):
+            op = take()
+            rhs = term()
+            node = (lambda a, b: (lambda t, x: a(t, x) + b(t, x)))(node, rhs) \
+                if op == "+" else \
+                (lambda a, b: (lambda t, x: a(t, x) - b(t, x)))(node, rhs)
+        return node
+
+    def term():
+        node = factor()
+        while peek() == "*":
+            take()
+            rhs = factor()
+            node = (lambda a, b: (lambda t, x: a(t, x) * b(t, x)))(node, rhs)
+        return node
+
+    def factor():
+        if peek() == "-":
+            take()
+            inner = factor()
+            return lambda t, x: -inner(t, x)
+        return atom()
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            node = expr()
+            take(")")
+            return node
+        if tok == "t":
+            return lambda t, x: t + 0.0 * np.asarray(x, dtype=float)
+        if tok == "x":
+            return lambda t, x: np.asarray(x, dtype=float)
+        if tok in ("min", "max", "clip"):
+            take("(")
+            args = [expr()]
+            while peek() == ",":
+                take()
+                args.append(expr())
+            take(")")
+            want = 3 if tok == "clip" else 2
+            if len(args) != want:
+                raise ValueError(f"{tok} expects {want} arguments")
+            if tok == "min":
+                a, b = args
+                return lambda t, x: np.minimum(a(t, x), b(t, x))
+            if tok == "max":
+                a, b = args
+                return lambda t, x: np.maximum(a(t, x), b(t, x))
+            a, lo, hi = args
+            return lambda t, x: np.clip(a(t, x), lo(t, x), hi(t, x))
+        try:
+            val = float(tok)
+        except ValueError:
+            raise ValueError(f"unexpected token {tok!r}") from None
+        return lambda t, x, _v=val: _v + 0.0 * np.asarray(x, dtype=float)
+
+    node = expr()
+    if peek() is not None:
+        raise ValueError(f"trailing tokens in expression: {tokens[pos[0]:]}")
+    return node
+
+
+def _oracle_tokenize(text):
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*(),":
+            out.append(ch)
+            i += 1
+        elif ch.isalpha():
+            j = i
+            while j < len(text) and text[j].isalpha():
+                j += 1
+            out.append(text[i:j])
+            i = j
+        elif ch.isdigit() or ch == ".":
+            j = i
+            while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
+                                     or (text[j] in "+-" and text[j - 1] in "eE")):
+                j += 1
+            out.append(text[i:j])
+            i = j
+        else:
+            raise ValueError(f"bad character {ch!r} in expression")
+    return out
+
+
+COEFFICIENT_CORPUS = (
+    # accepted
+    "0", "1", "0.5", "-0", "-0.0", "0 * x", "-(0 * x)", "x * 0", "-x * 0",
+    "2e-1", "1E+2", "5.", ".25", "1.5e3 - x", "00", "007.5", "x", "-x", "--x",
+    "t", "-t", "t * x", "t - t", "0 - t", "x - x", "-(x - x)", "(x)",
+    " x\t+\n1 ", "x*-1", "2 * 3 - 6", "0.1 + 0.2 - 0.3",
+    "clip(-x, -1, 1)", "max(0.4, 1 - 0.5 * x * x)", "min(x, 0)", "max(x, 0)",
+    "max(0, x)", "min(-0, x)", "max(-0.0, x)", "min(0, -x)",
+    "clip(x, 0, 1)", "clip(-x, -0, 0)", "clip(x * 0, 0, 0)", "clip(t, x, 1)",
+    "clip(-x, -1, 1) + 0.5 * t", "max(t, x) - min(t, x)", "min (x, t)",
+    "-(-(-(x)))", "x - -x * -2", "1e308 * 10", "-1e308 * 10 + x",
+    "x" + " + x" * 200, "-" * 300 + "x", "(" * 150 + "x" + ")" * 150,
+    # rejected by both
+    "", "   ", "x +", "* x", "foo(x)", "min(x)", "max(x, t, 1)", "clip(x, 1)",
+    "1..2", "1e", "1e5e5", "x y", "x(1)", "2x", "X", "min", "min x",
+    "+x", "x / 2", "x ** 2", "x % 2", "0x10", "1_000", "1j", "(x", "x)",
+    "min(x, t,)", "min(,x)", "x # comment", "'x'", "x.real",
+    "min(x, t)(x)", "x, t", "e5", "x - + 1", "nanx", "tx", "1e5x",
+)
+
+
+def test_coefficient_matches_the_recursive_descent_oracle():
+    # finite t and x, both signs of zero included
+    xs = np.array([-2.5, -1.0, -0.5, -0.0, 0.0, 0.3, 1.0, 7.0])
+    for text in COEFFICIENT_CORPUS:
+        try:
+            want = _oracle_coefficient(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_coefficient(text)
+            continue
+        got = parse_coefficient(text)
+        for t in (-0.0, 0.0, 0.25, 1.0):
+            with np.errstate(over="ignore"):   # 1e308 * 10 is inf on both
+                a, b = got(t, xs), want(t, xs)
+            assert a.shape == b.shape == xs.shape, text
+            np.testing.assert_array_equal(a, b, err_msg=text)
+            assert (np.signbit(a) == np.signbit(b)).all(), (text, t)
+
+
+@pytest.mark.parametrize("text", [
+    "1e400", "-1e400", "1" * 400, "1e-400 * 0 + 1e999", "nan", "inf", "-inf",
+    "infinity * x",
+    "x" + "+x" * 3000, "-" * 5000 + "x", "(" * 3000 + "x" + ")" * 3000,
+    "01",
+])
+def test_coefficient_verdicts_that_differ_from_the_oracle(text):
+    # Non-finite constants (the oracle also read nan and inf as numbers),
+    # input too deep for Python's parser, and decimal integers with leading
+    # zeros, which Python's grammar does not admit.
+    try:
+        _oracle_coefficient(text)(0.0, np.ones(2))   # accepted, or too deep
+    except RecursionError:
+        pass
+    with pytest.raises(ValueError):
+        parse_coefficient(text)
+
+
+@pytest.mark.parametrize("text", [
+    "__import__('os')", "x.real", "min(x, t=1)", "min(*x)", "min(*x, *x)",
+    "(lambda: 1)()", "[x][0]", "x if x else t", "True", "None", "...",
+    "not x", "x and t", "x or t", "x < t", "x == t", "abs(x)", "t(x, x)",
+    "min.__call__(x, t)", "min((x, t))", "min(x for x in t)", "(x := 1)",
+    "f'{x}'", "b'x'", "x; t", "x\\\n+ 1", "\uff58", "\u0661", "await x",
+    "lambda x: x", "{x: t}", "x[0]", "-x.imag", "clip(x, *t)",
+])
+def test_coefficient_rejects_hostile_input(text):
+    with pytest.raises(ValueError):
+        parse_coefficient(text)
+
+
+@pytest.mark.parametrize("mu_text, sigma_text, want", [
+    ("0", "1", {4: ("0x1.b0c0b95b9348bp-1", "0x1.041bbc7377a03p-7"),
+                8: ("0x1.6425e5333e797p-1", "0x1.621707713d34dp-8")}),
+    ("clip(-x, -1, 1)", "max(0.4, 1 - 0.5 * x * x)",
+     {4: ("0x1.77ae79e1d8ce7p-1", "0x1.ac041a33f31b0p-8"),
+      8: ("0x1.3c31290e63a71p-1", "0x1.2f67d2eaf1942p-8")}),
+])
+def test_euler_values_pinned(mu_text, sigma_text, want):
+    # taken with the recursive-descent parser, before the ast compiler
+    mu, sigma = parse_coefficient(mu_text), parse_coefficient(sigma_text)
+    for n, (mean, se) in want.items():
+        est = euler_pair_cost(mu, sigma, 0.0, n, 1000, 5, fine_factor=16)
+        assert (est.mean.hex(), est.std_error.hex()) == (mean, se)
 
 
 # -- Monte-Carlo oracles: a per-batch Euler loop and a depth-first split --------

@@ -14,7 +14,7 @@ from adapted_ot.prediction import rank1_conditional_laws
 from adapted_ot.solvers import DistanceReport
 from adapted_ot.trees import align, regrid
 
-from conftest import coarse_tree, deterministic_tree, shuffled
+from conftest import coarse_tree, deterministic_tree, interior_shift, shuffled
 
 
 def test_w_fig1_is_the_gap():
@@ -528,7 +528,7 @@ def test_shift_price_counts_the_root_time_of_a_multi_atom_root():
     assert eps_bicausal_lp(x, y, 1).epsilon_time == 1.0
     # on a non-uniform grid the root delay t_k exceeds every interior delay
     g3 = TimeGrid((0.8, 0.9, 1.0))
-    assert g3.shift_time(1) == pytest.approx(0.1)
+    assert interior_shift(g3, 1).epsilon_time == pytest.approx(0.1)
     x3, y3 = regrid(x, g3), regrid(y, g3)
     assert eps_bicausal_lp(x3, y3, 1).epsilon_time == pytest.approx(0.8)
     assert eps_bicausal_lp(x3, y3, 2).epsilon_time == pytest.approx(0.9)

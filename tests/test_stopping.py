@@ -17,7 +17,7 @@ from adapted_ot.stopping import (StoppingRule, brute_force_modulus,
                                  random_rule, transfer_identity_gap)
 from adapted_ot.trees import FilteredTree, Node, TimeGrid, align
 
-from conftest import deterministic_tree
+from conftest import deterministic_tree, interior_shift
 
 TERMINAL_SPECS = ("terminal:identity", "terminal:abs", "terminal:call(0.25)",
                   "terminal:put(0.5)")
@@ -131,7 +131,7 @@ def test_transfer_identity_equation(rng):
     for _ in range(60):
         x, y = align(random_tree(rng), random_tree(rng))
         k = int(rng.integers(0, x.grid.n_steps + 1))
-        eps = EpsShift.for_grid(x.grid, k)
+        eps = interior_shift(x.grid, k)
         pi = _random_causal(rng, x, y, k)
         tau = random_rule(y, rng)
         phi = battery[int(rng.integers(len(battery)))]
@@ -167,7 +167,7 @@ def test_os_from_transfer_chain(rng):
     for _ in range(30):
         x, y = align(random_tree(rng), random_tree(rng))
         k = int(rng.integers(0, 2))
-        eps = EpsShift.for_grid(x.grid, k)
+        eps = interior_shift(x.grid, k)
         pi = _random_causal(rng, x, y, k)
         tau = random_rule(y, rng)
         got = os_from_transfer(pi, eps, tau, phi)
@@ -203,7 +203,10 @@ def test_modulus_monotone_and_bounded(rng):
         vals = [modulus(t, k) for k in range(n + 1)]
         for a, b in zip(vals, vals[1:]):
             assert a <= b + 1e-12
-        assert vals[-1] <= t.max_oscillation() + 1e-12
+        paths = t.leaf_paths
+        oscillation = np.linalg.norm(paths[:, :, None] - paths[:, None, :],
+                                     axis=-1).max()
+        assert vals[-1] <= oscillation + 1e-12
 
 
 def test_modulus_rw_bound():
@@ -379,7 +382,7 @@ def test_batched_transfer_matches_per_leaf_loops(rng):
         x, y = align(random_tree(rng, dim=2, root_atoms=roots),
                      random_tree(rng, dim=2, root_atoms=roots))
         k = int(rng.integers(0, x.grid.n_steps + 1))
-        eps = EpsShift.for_grid(x.grid, k)
+        eps = interior_shift(x.grid, k)
         pi = _random_causal(rng, x, y, k)
         tau = random_rule(y, rng)
         fam = transfer_stopping_time(pi, eps, tau)

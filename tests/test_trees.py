@@ -15,9 +15,6 @@ from conftest import coarse_tree, deterministic_tree, shuffled, two_coin_tree
 def test_grid_invariants():
     g = TimeGrid((0.25, 0.5, 1.0))
     assert g.mesh() == 0.5
-    assert g.ceil(0.3) == 0.5
-    assert g.ceil(0.25) == 0.5  # strictly larger
-    assert g.ceil(1.0) == 1.0
     assert g.floor_level(0.3) == 1
     assert g.floor_level(0.25) == 1
     assert g.floor_level(0.1) == 0
