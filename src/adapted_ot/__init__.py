@@ -7,8 +7,7 @@ from .trees import (FilteredTree, Node, PathLaw, TimeGrid, align,
                     regrid, standard_tree, tree_from_json, tree_isomorphic,
                     tree_to_json, validate)
 from .prediction import (hk_minimize, is_naturally_filtered, natural_tree,
-                         prediction_process, rank1_conditional_laws,
-                         stable_labels)
+                         prediction_process, stable_labels)
 from .coupling import (Coupling, EpsShift, ZERO_SHIFT, X_TO_Y, Y_TO_X,
                        causality_constraints, glue, identity_coupling,
                        is_eps_bicausal, is_eps_causal, path_cost_matrix,

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln, ndtri
 
-from .trees import FilteredTree, Node, TimeGrid
+from .trees import FilteredTree, Node, TimeGrid, _tree_from_arrays
 
 DP_CAP = 14
 
@@ -25,26 +25,31 @@ DP_CAP = 14
 # Tree constructors
 
 
+def _uniform_grid(n: int) -> TimeGrid:
+    return TimeGrid(tuple((i + 1) / n for i in range(n)))
+
+
+def _lattice_tree(grid: TimeGrid, steps, scale: float = 1.0) -> FilteredTree:
+    """Full branching from one root at 0: every level-i node gets one child
+    per entry of steps[i - 1], each with probability 1 / len(steps[i - 1]).
+    A node's value is `scale` times the sum of the steps on its path, summed
+    from the root down."""
+    parents, probs, sums = [None], [np.ones(1)], [np.zeros(1)]
+    for st in steps:
+        k, n = len(st), len(sums[-1])
+        parents.append(np.repeat(np.arange(n), k))
+        probs.append(np.full(n * k, 1.0 / k))
+        sums.append((sums[-1][:, None] + st).ravel())
+    return _tree_from_arrays(grid, parents, probs, [(x * scale)[:, None] for x in sums])
+
+
 def random_walk_tree(n: int, cap: int = DP_CAP) -> FilteredTree:
     """Scaled random walk with step size 1/n on the full binary tree (the
     filtration is the coin history)."""
     if not (1 <= n <= cap):
         raise ValueError(f"steps must be in [1, {cap}]")
-    s = 1.0 / math.sqrt(n)
-    grid = TimeGrid(tuple((i + 1) / n for i in range(n)))
-    levels = [(Node(None, 1.0, (0.0,)),)]
     # node j at level i encodes the i coin bits of j; value = signed count * s
-    counts = [0]
-    for i in range(1, n + 1):
-        new_counts = []
-        nodes = []
-        for parent, k in enumerate(counts):
-            for step in (1, -1):
-                nodes.append(Node(parent, 0.5, ((k + step) * s,)))
-                new_counts.append(k + step)
-        levels.append(tuple(nodes))
-        counts = new_counts
-    return FilteredTree(grid, tuple(levels), 1)
+    return _lattice_tree(_uniform_grid(n), [(1, -1)] * n, 1.0 / math.sqrt(n))
 
 
 def _symmetric_quantile_points(m: int) -> np.ndarray:
@@ -75,24 +80,8 @@ def gaussian_lattice_tree(grid: TimeGrid, variances, m: int) -> FilteredTree:
     if (variances < -1e-12).any():
         raise ValueError("negative increment variance")
     base = _symmetric_quantile_points(m)
-    levels = [(Node(None, 1.0, (0.0,)),)]
-    values = [0.0]
-    for i, v in enumerate(variances):
-        nodes = []
-        new_vals = []
-        if v <= 1e-15:
-            for parent, val in enumerate(values):
-                nodes.append(Node(parent, 1.0, (val,)))
-                new_vals.append(val)
-        else:
-            pts = math.sqrt(v) * base
-            for parent, val in enumerate(values):
-                for pt in pts:
-                    nodes.append(Node(parent, 1.0 / m, (val + pt,)))
-                    new_vals.append(val + pt)
-        levels.append(tuple(nodes))
-        values = new_vals
-    return FilteredTree(grid, tuple(levels), 1)
+    return _lattice_tree(grid, [(0,) if v <= 1e-15 else math.sqrt(v) * base
+                                for v in variances])
 
 
 def quantized_bm_tree(n: int, m: int, leaf_cap: int = 60_000) -> FilteredTree:
@@ -100,8 +89,7 @@ def quantized_bm_tree(n: int, m: int, leaf_cap: int = 60_000) -> FilteredTree:
     m-point quantile quantization each."""
     if m ** n > leaf_cap:
         raise ValueError("tree would exceed the leaf cap")
-    grid = TimeGrid(tuple((i + 1) / n for i in range(n)))
-    return gaussian_lattice_tree(grid, np.full(n, 1.0 / n), m)
+    return gaussian_lattice_tree(_uniform_grid(n), np.full(n, 1.0 / n), m)
 
 
 def figure1_pair(e: float):
@@ -125,39 +113,31 @@ def figure1_pair(e: float):
 
 def _jump_tree(m: int, jump_first, jump_later) -> FilteredTree:
     """Common skeleton of the jump counterexample: a fair +-1 mark V revealed
-    at a uniform interior grid slot U; node kinds are 'alive' and
-    '(jump slot, sign)'.  jump_first(sign) is the value at the jump slot,
-    jump_later(sign) the value afterwards."""
-    n_steps = m + 1
-    grid = TimeGrid(tuple((i + 1) / n_steps for i in range(n_steps)))
-    levels = [(Node(None, 1.0, (0.0,)),)]
-    # state per node: ('alive',) or ('jump', slot, sign)
-    states = [("alive",)]
-    for i in range(1, n_steps + 1):
-        nodes = []
-        new_states = []
-        for parent, st in enumerate(states):
-            if st[0] == "alive":
-                slot_i = i  # jumps happen at slots 1..m
-                if slot_i <= m:
-                    q = 1.0 / (m - slot_i + 1)
-                    for sign in (1.0, -1.0):
-                        nodes.append(Node(parent, q / 2.0, (jump_first(sign),)))
-                        new_states.append(("jump", slot_i, sign))
-                    if q < 1.0:
-                        nodes.append(Node(parent, 1.0 - q, (0.0,)))
-                        new_states.append(("alive",))
-                else:
-                    nodes.append(Node(parent, 1.0, (0.0,)))
-                    new_states.append(("alive",))
-            else:
-                _, slot, sign = st
-                val = jump_first(sign) if i == slot else jump_later(sign)
-                nodes.append(Node(parent, 1.0, (val,)))
-                new_states.append(st)
-        levels.append(tuple(nodes))
-        states = new_states
-    return FilteredTree(grid, tuple(levels), 1)
+    at a uniform interior grid slot U.  At each level the nodes that have
+    jumped come first, in the order they jumped, and the one node still
+    waiting comes last.  jump_first(signs) gives the values at the jump
+    slot, jump_later(signs) the values afterwards."""
+    parents, probs, values = [None], [np.ones(1)], [np.zeros(1)]
+    signs = np.zeros(0)   # the marks of the nodes that have jumped
+    for i in range(1, m + 2):
+        waiting = len(signs)   # the index of the waiting node
+        up, p, v = [np.arange(waiting)], [np.ones(waiting)], [jump_later(signs)]
+        if i <= m:   # jumps happen at slots 1..m, each sign with q / 2
+            q = 1.0 / (m - i + 1)
+            new = np.array([1.0, -1.0])
+            up.append([waiting, waiting])
+            p.append([q / 2.0, q / 2.0])
+            v.append(jump_first(new))
+            signs = np.concatenate([signs, new])
+        if i < m:   # or the node waits on, with 1 - q
+            up.append([waiting])
+            p.append([1.0 - q])
+            v.append([0.0])
+        parents.append(np.concatenate(up))
+        probs.append(np.concatenate(p))
+        values.append(np.concatenate(v))
+    return _tree_from_arrays(_uniform_grid(m + 1), parents, probs,
+                             [x[:, None] for x in values])
 
 
 def counterexample_pair(n: int, m: int):
@@ -200,28 +180,12 @@ def offset_rw_pair(m: int):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    n_steps = 2 * m
-    grid = TimeGrid(tuple((i + 1) / n_steps for i in range(n_steps)))
+    grid = _uniform_grid(2 * m)
     s = 1.0 / math.sqrt(m)
 
     def walk(active_parity):
-        levels = [(Node(None, 1.0, (0.0,)),)]
-        values = [0.0]
-        for i in range(1, n_steps + 1):
-            nodes = []
-            new_vals = []
-            if i % 2 == active_parity:
-                for parent, val in enumerate(values):
-                    for step in (s, -s):
-                        nodes.append(Node(parent, 0.5, (val + step,)))
-                        new_vals.append(val + step)
-            else:
-                for parent, val in enumerate(values):
-                    nodes.append(Node(parent, 1.0, (val,)))
-                    new_vals.append(val)
-            levels.append(tuple(nodes))
-            values = new_vals
-        return FilteredTree(grid, tuple(levels), 1)
+        return _lattice_tree(grid, [(s, -s) if i % 2 == active_parity else (0,)
+                                    for i in range(1, 2 * m + 1)])
 
     return walk(1), walk(0)
 
@@ -249,7 +213,7 @@ def shifted_time_change(phi, shift: float):
 def time_changed_bm_pair(phi1, phi2, n: int, m: int):
     """Quantized trees of time-changed Brownian motions: increment variances
     are the phi-increments over a uniform n-step grid."""
-    grid = TimeGrid(tuple((i + 1) / n for i in range(n)))
+    grid = _uniform_grid(n)
     times = np.array((0.0,) + grid.times)
 
     def build(phi):
@@ -277,6 +241,24 @@ def _simplex_probs(rng, k: int) -> np.ndarray:
     return counts / 64.0
 
 
+def _grown_tree(rng, grid: TimeGrid, root_probs, root_values, branching,
+                draw) -> FilteredTree:
+    """Grow the levels below the given root level: each node draws its child
+    count from `branching`, then the children's probabilities, then their
+    values `draw(probs, parent value)`."""
+    parents, probs, values = [None], [root_probs], [root_values]
+    for _ in range(grid.n_steps):
+        ks, p, v = [], [], []
+        for val in values[-1]:
+            ks.append(int(rng.choice(branching)))
+            p.append(_simplex_probs(rng, ks[-1]))
+            v.append(draw(p[-1], val))
+        parents.append(np.repeat(np.arange(len(ks)), ks))
+        probs.append(np.concatenate(p))
+        values.append(np.concatenate(v))
+    return _tree_from_arrays(grid, parents, probs, values)
+
+
 def random_tree(rng, max_steps: int = 3, dim: int = 1,
                 branching=(2, 3), root_atoms: int = 1,
                 value_scale: float = 1.0) -> FilteredTree:
@@ -284,25 +266,12 @@ def random_tree(rng, max_steps: int = 3, dim: int = 1,
     grid steps on a uniform grid, 2-3 children per node, dyadic exact
     probabilities, i.i.d. uniform values in [-scale, scale]."""
     n = int(rng.integers(1, max_steps + 1))
-    grid = TimeGrid(tuple((i + 1) / n for i in range(n)))
 
-    def val():
-        return tuple(rng.uniform(-value_scale, value_scale, dim))
+    def draw(probs, _):
+        return rng.uniform(-value_scale, value_scale, (len(probs), dim))
 
-    if root_atoms == 1:
-        levels = [(Node(None, 1.0, val()),)]
-    else:
-        probs = _simplex_probs(rng, root_atoms)
-        levels = [tuple(Node(None, float(p), val()) for p in probs)]
-    for _ in range(n):
-        nodes = []
-        for parent in range(len(levels[-1])):
-            k = int(rng.choice(branching))
-            probs = _simplex_probs(rng, k)
-            for p in probs:
-                nodes.append(Node(parent, float(p), val()))
-        levels.append(tuple(nodes))
-    return FilteredTree(grid, tuple(levels), dim)
+    root = np.ones(1) if root_atoms == 1 else _simplex_probs(rng, root_atoms)
+    return _grown_tree(rng, _uniform_grid(n), root, draw(root, None), branching, draw)
 
 
 def random_martingale_tree(rng, max_steps: int = 3, branching=(2, 3),
@@ -310,23 +279,13 @@ def random_martingale_tree(rng, max_steps: int = 3, branching=(2, 3),
     """Random martingale: child values are the parent value plus exactly
     centered offsets."""
     n = int(rng.integers(1, max_steps + 1))
-    grid = TimeGrid(tuple((i + 1) / n for i in range(n)))
-    levels = [(Node(None, 1.0, (0.0,)),)]
-    values = [0.0]
-    for _ in range(n):
-        nodes = []
-        new_vals = []
-        for parent, val in enumerate(values):
-            k = int(rng.choice(branching))
-            probs = _simplex_probs(rng, k)
-            offs = rng.uniform(-value_scale, value_scale, k)
-            offs = offs - float(probs @ offs)
-            for p, o in zip(probs, offs):
-                nodes.append(Node(parent, float(p), (val + o,)))
-                new_vals.append(val + o)
-        levels.append(tuple(nodes))
-        values = new_vals
-    return FilteredTree(grid, tuple(levels), 1)
+
+    def draw(probs, val):
+        offs = rng.uniform(-value_scale, value_scale, len(probs))
+        return (val + (offs - float(probs @ offs)))[:, None]
+
+    return _grown_tree(rng, _uniform_grid(n), np.ones(1), np.zeros((1, 1)),
+                       branching, draw)
 
 
 # ---------------------------------------------------------------------------

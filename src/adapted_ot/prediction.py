@@ -19,24 +19,8 @@ import itertools
 
 import numpy as np
 
-from .trees import (FilteredTree, Node, check_valid, law, standard_tree,
-                    _history_ids, _rounded, _unique_rows)
-
-
-def rank1_conditional_laws(tree: FilteredTree):
-    """Per level, per node: (weights, leaf_indices) of the conditional path
-    law given that atom.  Path data itself lives in tree.leaf_paths."""
-    out = []
-    lp = tree.leaf_probs
-    for i in range(tree.n_levels):
-        anc = tree.ancestors[i]
-        bounds = np.cumsum(np.bincount(anc, minlength=len(tree.levels[i])))[:-1]
-        per_node = []
-        for leaves in np.split(np.argsort(anc, kind="stable"), bounds):
-            w = lp[leaves]
-            per_node.append((w / w.sum(), leaves))
-        out.append(per_node)
-    return out
+from .trees import (FilteredTree, check_valid, law, standard_tree,
+                    _history_ids, _rounded, _tree_from_arrays, _unique_rows)
 
 
 def _law_labels(tree: FilteredTree, leaf_ids: np.ndarray):
@@ -108,7 +92,7 @@ def hk_minimize(tree: FilteredTree) -> FilteredTree:
     The path law is untouched and the adapted distance to the input is 0.
     """
     labels, _ = stable_labels(tree)
-    new_levels = []
+    parents, probs, values = [], [], []
     new_of = np.zeros(1, dtype=np.intp)  # the virtual root
     parent_mass = np.ones(1)
     for i in range(tree.n_levels):
@@ -122,12 +106,11 @@ def hk_minimize(tree: FilteredTree) -> FilteredTree:
         new_of = number[group]
         mass = np.bincount(new_of, tree.node_probs[i])
         reps = first[seen]
-        new_levels.append(tuple(
-            Node(None if i == 0 else int(up[r]),
-                 float(mass[n] / parent_mass[up[r]]), tree.levels[i][r].value)
-            for n, r in enumerate(reps.tolist())))
+        parents.append(up[reps])
+        probs.append(mass / parent_mass[up[reps]])
+        values.append(tree.level_values[i][reps])
         parent_mass = mass
-    return FilteredTree(tree.grid, tuple(new_levels), tree.dim)
+    return _tree_from_arrays(tree.grid, parents, probs, values)
 
 
 def is_naturally_filtered(tree: FilteredTree) -> bool:

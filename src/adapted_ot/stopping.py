@@ -349,12 +349,9 @@ def modulus(tree: FilteredTree, eps_steps: int) -> float:
         hi = min(i + k, n - 1)
         dev = np.linalg.norm(paths[:, i:hi + 1, :] - paths[:, i:i + 1, :],
                              axis=-1).max(axis=1)
-        anc = tree.ancestors[i]
-        per_node = np.zeros(len(tree.levels[i]))
-        mass = np.zeros(len(tree.levels[i]))
-        np.add.at(per_node, anc, lp * dev)
-        np.add.at(mass, anc, lp)
-        g.append(per_node / mass)
+        anc, size = tree.ancestors[i], len(tree.levels[i])
+        g.append(np.bincount(anc, lp * dev, minlength=size)
+                 / np.bincount(anc, lp, minlength=size))
     w = g[n - 1]
     for i in range(n - 2, -1, -1):
         w = np.maximum(g[i], tree.children_sum(i, w))

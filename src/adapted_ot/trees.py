@@ -6,13 +6,23 @@ construction.  Level 0 is the root time t0 = 0 (not a grid point) and may
 carry several atoms, i.e. a nontrivial initial sigma-algebra.
 
 The stored form is a tuple of `Node` tuples per level: it is what the JSON
-interchange writes and what tree equality compares.  The level arrays are
-derived from it once and cached: `parents` (int, with level 0 hanging from
-one virtual root) and `probs` (transition probabilities), and from those
-`node_probs`, `ancestors`, `level_values`, `leaf_probs` and `leaf_paths`.
-Every backward expectation E[. | F_t] goes through `children_sum`, which
-adds prob * x over the children in child-index order, the same order as a
-loop over `children`, so its sums are reproducible bit for bit.
+interchange writes and what tree equality compares.  Every tree the
+package computes is made by one builder, `_tree_from_arrays`, from
+per-level arrays of parents, transition probabilities and values; only
+`tree_from_json` and figure 1's literal pair write `Node`s themselves.
+The level arrays are derived from the stored form once and cached:
+`parents` (int, with level 0 hanging from one virtual root) and `probs`
+(transition probabilities), and from those `node_probs`, `ancestors`,
+`level_values`, `leaf_probs` and `leaf_paths`.  Every backward expectation
+E[. | F_t] goes through `children_sum`, which adds prob * x over the
+children in child-index order, the same order as a loop over `children`,
+so its sums are reproducible bit for bit.
+
+`validate` first checks what the arrays cannot hold (each parent's presence,
+type and range, each value's length) and, on `probs`, the probability
+bounds.  Only a tree without such faults gets the array checks, on the
+levels laid end to end: finite values, and sums by `np.bincount`, which adds
+left to right, as a loop over nodes would.
 
 Every grouping (law atoms, value histories, subtree classes) goes through
 `_unique_rows` over values rounded by `_rounded`: to `EQUAL_DECIMALS`
@@ -199,8 +209,8 @@ class FilteredTree:
     @cached_property
     def level_values(self):
         """Per level, array of node values with shape (n_nodes, dim)."""
-        return [np.array([nd.value for nd in lv], dtype=float).reshape(len(lv), self.dim)
-                for lv in self.levels]
+        return [np.array([x for nd in lv for x in nd.value], dtype=float)
+                .reshape(len(lv), self.dim) for lv in self.levels]
 
     @cached_property
     def ancestors(self):
@@ -257,51 +267,86 @@ class FilteredTree:
         return self.grid.level_time(i)
 
 
+def _tree_from_arrays(grid: TimeGrid, parents, probs, values) -> FilteredTree:
+    """The tree with, per level, the int parent array `parents[i]` (not read
+    at level 0, whose nodes have none), the transition probabilities
+    `probs[i]` and the (n, dim) values `values[i]`."""
+    levels = []
+    for i, (up, p, v) in enumerate(zip(parents, probs, values)):
+        p = np.asarray(p, dtype=float).tolist()
+        up = [None] * len(p) if i == 0 else np.asarray(up).tolist()
+        v = map(tuple, np.asarray(v, dtype=float).tolist())
+        levels.append(tuple(map(Node, up, p, v)))
+    return FilteredTree(grid, tuple(levels), np.shape(values[0])[1])
+
+
 def validate(tree: FilteredTree) -> list:
     """Return the list of invariant violations (empty iff the tree is valid)."""
-    out = []
     n = tree.n_levels
     if n != tree.grid.n_steps + 1:
-        out.append(f"levels count {n} != grid size + 1 ({tree.grid.n_steps + 1})")
-        return out
+        return [f"levels count {n} != grid size + 1 ({tree.grid.n_steps + 1})"]
+    # the levels laid end to end: node k is node k - start[i] of level i
+    start = np.cumsum([0] + [len(lv) for lv in tree.levels])
+
+    def located(ks):
+        """(k, level, node) for each index k into the levels laid end to end."""
+        if not ks.size:
+            return ()
+        at = np.searchsorted(start, ks, side="right") - 1
+        return zip(ks.tolist(), at.tolist(), (ks - start[at]).tolist())
+
+    p = np.concatenate(tree.probs)
+    prob_faults = [[] for _ in tree.levels]
+    for _, i, j in located(np.flatnonzero(~((p > 0.0) & (p <= 1.0 + PROB_TOL)))):
+        prob_faults[i].append(j)
+    out = []
+    # the structural pass: a level whose parents are all None (level 0) or
+    # all Python ints in range, and whose values all have length dim, is
+    # visited node by node only where a probability fails
     for i, lv in enumerate(tree.levels):
         if len(lv) == 0:
             out.append(f"empty level {i}")
             return out
-        for j, nd in enumerate(lv):
-            if len(nd.value) != tree.dim:
+        up = [nd.parent for nd in lv]
+        n_up = len(tree.levels[i - 1]) if i else 0
+        sound = {len(nd.value) for nd in lv} == {tree.dim} and (
+            up.count(None) == len(up) if i == 0
+            else set(map(type, up)) == {int} and 0 <= min(up) and max(up) < n_up)
+        for j in (prob_faults[i] if sound else range(len(lv))):
+            if len(lv[j].value) != tree.dim:
                 out.append(f"value dimension mismatch at level {i} node {j}")
             if i == 0:
-                if nd.parent is not None:
+                if up[j] is not None:
                     out.append(f"level-0 node {j} must not have a parent")
-            else:
-                if nd.parent is None:
-                    out.append(f"orphan node at level {i} node {j}")
-                elif not (0 <= nd.parent < len(tree.levels[i - 1])):
-                    out.append(f"orphan node at level {i} node {j} (parent out of range)")
-            if not (nd.prob > 0.0):
+            elif up[j] is None:
+                out.append(f"orphan node at level {i} node {j}")
+            elif isinstance(up[j], bool) or not isinstance(up[j], (int, np.integer)):
+                out.append(f"non-integer parent at level {i} node {j}")
+            elif not 0 <= up[j] < n_up:
+                out.append(f"orphan node at level {i} node {j} (parent out of range)")
+            if not p[start[i] + j] > 0.0:
                 out.append(f"non-positive probability at level {i} node {j}")
-            elif nd.prob > 1.0 + PROB_TOL:
+            elif p[start[i] + j] > 1.0 + PROB_TOL:
                 out.append(f"probability > 1 at level {i} node {j}")
     if out:
         return out
-    for i, vals in enumerate(tree.level_values):
-        bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
-        if bad.size:
-            out.append(f"non-finite value at level {i} node {bad[0]}")
-    s0 = sum(nd.prob for nd in tree.levels[0])
+    # the array checks; the sums add left to right, as a loop over nodes would
+    last = -1
+    values = np.concatenate(tree.level_values)
+    for _, i, j in located(np.flatnonzero(~np.isfinite(values).all(axis=1))):
+        if i != last:
+            out.append(f"non-finite value at level {i} node {j}")
+            last = i
+    s0 = np.bincount(tree.parents[0], tree.probs[0])[0]
     if abs(s0 - 1.0) > PROB_TOL:
         out.append(f"root-level probabilities sum to {s0:.12g}")
-    for i in range(n - 1):
-        sums = {}
-        for nd in tree.levels[i + 1]:
-            sums[nd.parent] = sums.get(nd.parent, 0.0) + nd.prob
-        for j in range(len(tree.levels[i])):
-            s = sums.get(j)
-            if s is None:
-                out.append(f"node without children at level {i} node {j}")
-            elif abs(s - 1.0) > PROB_TOL:
-                out.append(f"node probabilities sum to {s:.12g} at level {i} node {j}")
+    # every node below level 0 counts for its parent, also laid end to end
+    up = np.concatenate(tree.parents[1:]) + np.repeat(start[:n - 1], np.diff(start)[1:])
+    sums = np.bincount(up, p[start[1]:], minlength=start[n - 1])
+    # the probabilities are positive, so a sum is 0 only without children
+    for k, i, j in located(np.flatnonzero(np.abs(sums - 1.0) > PROB_TOL)):
+        out.append(f"node without children at level {i} node {j}" if sums[k] == 0.0
+                   else f"node probabilities sum to {sums[k]:.12g} at level {i} node {j}")
     if not out:
         s = float(tree.leaf_probs.sum())
         if abs(s - 1.0) > PROB_TOL:
@@ -345,7 +390,7 @@ def standard_tree(path_law: PathLaw) -> FilteredTree:
     distinct value histories, numbered in the order the paths first reach
     them."""
     paths, weights = path_law.paths, path_law.weights
-    levels = []
+    parents, probs, values = [], [], []
     node = np.zeros(len(paths), dtype=np.intp)  # the virtual root
     parent_mass = np.ones(1)
     for i, (first, history) in enumerate(_history_ids(paths)):
@@ -354,12 +399,12 @@ def standard_tree(path_law: PathLaw) -> FilteredTree:
         number[seen] = np.arange(len(first))
         up, node = node, number[history]
         mass = np.bincount(node, weights)
-        levels.append(tuple(
-            Node(None if i == 0 else int(up[r]), float(mass[n] / parent_mass[up[r]]),
-                 tuple(paths[r, i]))
-            for n, r in enumerate(first[seen].tolist())))
+        reps = first[seen]
+        parents.append(up[reps])
+        probs.append(mass / parent_mass[up[reps]])
+        values.append(paths[reps, i])
         parent_mass = mass
-    return FilteredTree(path_law.grid, tuple(levels), paths.shape[2])
+    return _tree_from_arrays(path_law.grid, parents, probs, values)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +446,7 @@ def coarsen_filtration(tree: FilteredTree, target: TimeGrid) -> FilteredTree:
         up = min(s for s in target.times if s >= t - TIME_TOL)
         src_level.append(tree.grid.index_of(up) + 1)
 
-    levels = [tree.levels[0]]
+    parents, probs, values = [None], [tree.probs[0]], [tree.level_values[0]]
     for i in range(1, n):
         lo, hi = src_level[i - 1], src_level[i]
         # the level-hi atoms, hung from their level-lo ancestors with the
@@ -415,9 +460,10 @@ def coarsen_filtration(tree: FilteredTree, target: TimeGrid) -> FilteredTree:
         at_i = nodes
         for lev in range(hi, i, -1):
             at_i = tree.parents[lev][at_i]
-        levels.append(tuple(Node(k, t, tree.levels[i][a].value) for k, t, a in
-                            zip(parent.tolist(), trans.tolist(), at_i.tolist())))
-    return FilteredTree(tree.grid, tuple(levels), tree.dim)
+        parents.append(parent)
+        probs.append(trans)
+        values.append(tree.level_values[i][at_i])
+    return _tree_from_arrays(tree.grid, parents, probs, values)
 
 
 def regrid(tree: FilteredTree, new_grid: TimeGrid) -> FilteredTree:
@@ -430,17 +476,14 @@ def regrid(tree: FilteredTree, new_grid: TimeGrid) -> FilteredTree:
     for t in tree.grid.times:
         new_grid.index_of(t)
     src_of = [0] + [tree.grid.floor_level(t) for t in new_grid.times]
-    levels = [tree.levels[0]]
-    for i in range(1, len(src_of)):
-        s_prev, s_cur = src_of[i - 1], src_of[i]
-        if s_cur == s_prev:
-            nodes = tuple(Node(j, 1.0, nd.value)
-                          for j, nd in enumerate(tree.levels[s_cur]))
-        else:
-            nodes = tuple(Node(nd.parent, nd.prob, nd.value)
-                          for nd in tree.levels[s_cur])
-        levels.append(nodes)
-    return FilteredTree(new_grid, tuple(levels), tree.dim)
+    parents, probs, values = [None], [tree.probs[0]], [tree.level_values[0]]
+    for s_prev, s_cur in zip(src_of, src_of[1:]):
+        n = len(tree.levels[s_cur])
+        # a level that repeats the one before hangs each node from its copy
+        parents.append(np.arange(n) if s_cur == s_prev else tree.parents[s_cur])
+        probs.append(np.ones(n) if s_cur == s_prev else tree.probs[s_cur])
+        values.append(tree.level_values[s_cur])
+    return _tree_from_arrays(new_grid, parents, probs, values)
 
 
 def common_grid(a: TimeGrid, b: TimeGrid) -> TimeGrid:

@@ -49,6 +49,23 @@ def interior_shift(grid, steps):
     return EpsShift(steps, price if steps > 0 else 0.0)
 
 
+def rank1_conditional_laws(tree):
+    """Oracle: per level, per node, (weights, leaf_indices) of the
+    conditional path law given that atom.  Path data itself lives in
+    tree.leaf_paths."""
+    out = []
+    lp = tree.leaf_probs
+    for i in range(tree.n_levels):
+        anc = tree.ancestors[i]
+        bounds = np.cumsum(np.bincount(anc, minlength=len(tree.levels[i])))[:-1]
+        per_node = []
+        for leaves in np.split(np.argsort(anc, kind="stable"), bounds):
+            w = lp[leaves]
+            per_node.append((w / w.sum(), leaves))
+        out.append(per_node)
+    return out
+
+
 def two_coin_tree():
     """Fair coin at t=1/2 then fair coin at t=1, values are partial sums."""
     g = TimeGrid((0.5, 1.0))

@@ -79,6 +79,17 @@ def test_exit_code_validation(tmp_path, capsys):
     assert "invalid tree" in err
 
 
+@pytest.mark.parametrize("parent", ['"0"', "0.5"])
+def test_exit_code_non_integer_parent(tmp_path, capsys, parent):
+    path = tmp_path / "parent.json"
+    path.write_text('{"dim": 1, "grid": [1.0], "levels": '
+                    '[[{"parent": null, "prob": 1.0, "value": [0.0]}], '
+                    '[{"parent": %s, "prob": 1.0, "value": [1.0]}]]}' % parent)
+    code, _, err = run_cli(capsys, "os", "--tree", str(path))
+    assert code == 2
+    assert err.splitlines() == ["invalid tree: non-integer parent at level 1 node 0"]
+
+
 def test_os_counterexample_sup(capsys):
     code, out, _ = run_cli(capsys, "os", "--tree", "counterexample:n=4,m=8",
                            "--phi", "state:identity", "--variant", "sup")

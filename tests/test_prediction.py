@@ -5,9 +5,8 @@ from adapted_ot import (FilteredTree, Node, TimeGrid, hk_minimize,
                         is_naturally_filtered, law, natural_tree,
                         prediction_process, random_tree, stable_labels,
                         tree_isomorphic, validate)
-from adapted_ot.prediction import rank1_conditional_laws
 
-from conftest import coarse_tree, deterministic_tree
+from conftest import coarse_tree, deterministic_tree, rank1_conditional_laws
 
 
 def split_middle_tree():

@@ -10,11 +10,11 @@ from adapted_ot import (FilteredTree, Node, aw, counterexample_pair, cw,
 from adapted_ot.coupling import (X_TO_Y, Y_TO_X, ZERO_SHIFT, is_eps_causal,
                                   path_cost_matrix)
 from adapted_ot.lp import transport_lp
-from adapted_ot.prediction import rank1_conditional_laws
 from adapted_ot.solvers import DistanceReport
 from adapted_ot.trees import align, regrid
 
-from conftest import coarse_tree, deterministic_tree, interior_shift, shuffled
+from conftest import (coarse_tree, deterministic_tree, interior_shift,
+                      rank1_conditional_laws, shuffled)
 
 
 def test_w_fig1_is_the_gap():

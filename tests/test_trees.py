@@ -51,6 +51,204 @@ def test_validate_orphan():
     assert any("orphan" in msg for msg in validate(bad))
 
 
+def _nodes(*levels, times=(0.5, 1.0), dim=1):
+    """A tree from (parent, prob, value) triples per level."""
+    return FilteredTree(TimeGrid(times), tuple(
+        tuple(Node(*nd) for nd in lv) for lv in levels), dim)
+
+
+_ROOT = [(None, 1.0, (0.0,))]
+_COIN = [(0, 0.5, (1.0,)), (0, 0.5, (-1.0,))]
+_NEAR = 1.0 - 0.9e-12   # off 1 by less than PROB_TOL
+
+# One malformed tree per message of `validate`, then trees with several
+# faults, each with the exact list of messages.
+VALIDATE_CASES = {
+    "level count": (_nodes(_ROOT, _COIN),
+                    ["levels count 2 != grid size + 1 (3)"]),
+    "empty level": (_nodes(_ROOT, [], times=(1.0,)), ["empty level 1"]),
+    "dimension": (_nodes(_ROOT, [(0, 0.5, (1.0,)), (0, 0.5, (1.0, 2.0))],
+                         times=(1.0,)),
+                  ["value dimension mismatch at level 1 node 1"]),
+    "level-0 parent": (_nodes([(0, 1.0, (0.0,))], _COIN, times=(1.0,)),
+                       ["level-0 node 0 must not have a parent"]),
+    "orphan": (_nodes(_ROOT, [(0, 0.5, (1.0,)), (None, 0.5, (1.0,))],
+                      times=(1.0,)),
+               ["orphan node at level 1 node 1"]),
+    "parent out of range": (
+        _nodes(_ROOT, [(-1, 0.5, (1.0,)), (1, 0.5, (1.0,))], times=(1.0,)),
+        ["orphan node at level 1 node 0 (parent out of range)",
+         "orphan node at level 1 node 1 (parent out of range)"]),
+    "non-positive probability": (
+        _nodes(_ROOT, [(0, 0.0, (1.0,)), (0, np.nan, (1.0,)), (0, 1.0, (2.0,))],
+               times=(1.0,)),
+        ["non-positive probability at level 1 node 0",
+         "non-positive probability at level 1 node 1"]),
+    "probability > 1": (_nodes(_ROOT, [(0, 1.5, (1.0,))], times=(1.0,)),
+                        ["probability > 1 at level 1 node 0"]),
+    "root sum": (_nodes([(None, 0.5, (0.0,)), (None, 0.4, (1.0,))],
+                        [(0, 1.0, (0.0,)), (1, 1.0, (1.0,))], times=(1.0,)),
+                 ["root-level probabilities sum to 0.9"]),
+    "childless node": (_nodes(_ROOT, _COIN, [(0, 1.0, (1.0,))]),
+                       ["node without children at level 1 node 1"]),
+    "children sum": (_nodes(_ROOT, _COIN, [(0, 0.6, (1.0,)), (1, 1.0, (-1.0,)),
+                                           (0, 0.3, (2.0,))]),
+                     ["node probabilities sum to 0.9 at level 1 node 0"]),
+    "non-finite value": (_nodes(_ROOT, [(0, 0.5, (1.0,)), (0, 0.25, (np.inf,)),
+                                        (0, 0.25, (np.nan,))], times=(1.0,)),
+                         ["non-finite value at level 1 node 1"]),
+    "leaf sum": (_nodes([(None, _NEAR, (0.0,))], [(0, _NEAR, (0.0,))],
+                        [(0, _NEAR, (0.0,))]),
+                 ["leaf probabilities sum to 0.999999999997"]),
+    "probability and parent faults in one level": (
+        _nodes(_ROOT, [(0, 0.0, (1.0,)), (None, 0.5, (1.0, 2.0)), (0, 2.0, (1.0,))],
+               times=(1.0,)),
+        ["non-positive probability at level 1 node 0",
+         "value dimension mismatch at level 1 node 1",
+         "orphan node at level 1 node 1",
+         "probability > 1 at level 1 node 2"]),
+    "structural faults on two levels": (
+        _nodes([(None, 2.0, (0.0,))], [(3, 0.5, (1.0,)), (0, 0.5, (1.0,))],
+               [(0, 1.0, (1.0, 1.0)), (1, 1.0, (1.0,))]),
+        ["probability > 1 at level 0 node 0",
+         "orphan node at level 1 node 0 (parent out of range)",
+         "value dimension mismatch at level 2 node 0"]),
+    "sum faults on two levels": (
+        _nodes([(None, 0.5, (np.nan,)), (None, 0.6, (0.0,))],
+               [(0, 0.5, (1.0,)), (0, 0.4, (1.0,)), (1, 1.0, (np.nan,))],
+               [(0, 1.0, (1.0,)), (2, 1.0, (1.0,))]),
+        ["non-finite value at level 0 node 0",
+         "non-finite value at level 1 node 2",
+         "root-level probabilities sum to 1.1",
+         "node probabilities sum to 0.9 at level 0 node 0",
+         "node without children at level 1 node 1"]),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATE_CASES))
+def test_validate_messages(case):
+    tree, messages = VALIDATE_CASES[case]
+    assert validate(tree) == messages
+
+
+@pytest.mark.parametrize("parent", ["0", 0.5, 0.0, True, np.float64(0.0), [0]])
+def test_validate_non_integer_parent(parent):
+    bad = _nodes(_ROOT, [(0, 0.5, (1.0,)), (parent, 0.5, (-1.0,))], times=(1.0,))
+    assert validate(bad) == ["non-integer parent at level 1 node 1"]
+    good = _nodes(_ROOT, [(0, 0.5, (1.0,)), (np.int64(0), 0.5, (-1.0,))],
+                  times=(1.0,))
+    assert validate(good) == []
+
+
+def _validate_oracle(tree):
+    """`validate` as a loop over nodes: the messages in the same order."""
+    out = []
+    n = tree.n_levels
+    if n != tree.grid.n_steps + 1:
+        return [f"levels count {n} != grid size + 1 ({tree.grid.n_steps + 1})"]
+    for i, lv in enumerate(tree.levels):
+        if len(lv) == 0:
+            return out + [f"empty level {i}"]
+        for j, nd in enumerate(lv):
+            if len(nd.value) != tree.dim:
+                out.append(f"value dimension mismatch at level {i} node {j}")
+            if i == 0:
+                if nd.parent is not None:
+                    out.append(f"level-0 node {j} must not have a parent")
+            elif nd.parent is None:
+                out.append(f"orphan node at level {i} node {j}")
+            elif (isinstance(nd.parent, bool)
+                  or not isinstance(nd.parent, (int, np.integer))):
+                out.append(f"non-integer parent at level {i} node {j}")
+            elif not (0 <= nd.parent < len(tree.levels[i - 1])):
+                out.append(f"orphan node at level {i} node {j} (parent out of range)")
+            if not (nd.prob > 0.0):
+                out.append(f"non-positive probability at level {i} node {j}")
+            elif nd.prob > 1.0 + 1e-12:
+                out.append(f"probability > 1 at level {i} node {j}")
+    if out:
+        return out
+    for i, lv in enumerate(tree.levels):
+        bad = [j for j, nd in enumerate(lv) if not np.isfinite(nd.value).all()]
+        if bad:
+            out.append(f"non-finite value at level {i} node {bad[0]}")
+    s0 = sum(nd.prob for nd in tree.levels[0])
+    if abs(s0 - 1.0) > 1e-12:
+        out.append(f"root-level probabilities sum to {s0:.12g}")
+    for i in range(n - 1):
+        sums = {}
+        for nd in tree.levels[i + 1]:
+            sums[nd.parent] = sums.get(nd.parent, 0.0) + nd.prob
+        for j in range(len(tree.levels[i])):
+            s = sums.get(j)
+            if s is None:
+                out.append(f"node without children at level {i} node {j}")
+            elif abs(s - 1.0) > 1e-12:
+                out.append(f"node probabilities sum to {s:.12g} at level {i} node {j}")
+    if not out:
+        s = float(tree.leaf_probs.sum())
+        if abs(s - 1.0) > 1e-12:
+            out.append(f"leaf probabilities sum to {s:.12g}")
+    return out
+
+
+def _malformed(tree, rng):
+    """A copy of `tree` with up to three faults: a bad parent, probability
+    or value, or a node dropped (its children then point elsewhere)."""
+    levels = [list(lv) for lv in tree.levels]
+    for _ in range(int(rng.integers(4))):
+        i = int(rng.integers(len(levels)))
+        if not levels[i]:
+            continue
+        j = int(rng.integers(len(levels[i])))
+        nd = levels[i][j]
+        n_up = len(levels[i - 1]) if i else 1
+        parent, prob, value = nd.parent, nd.prob, nd.value
+        kind = int(rng.integers(5))
+        if kind == 0:
+            options = [None, -1, 0, n_up, n_up + 2, 0.5, 0.0, "0", True, np.int64(0)]
+            parent = options[int(rng.integers(len(options)))]
+        elif kind == 1:
+            options = [0.0, -0.25, np.nan, np.inf, 1.5, prob * 0.9, prob + 1e-13]
+            prob = options[int(rng.integers(len(options)))]
+        elif kind == 2:
+            value = value + (1.0,) if rng.random() < 0.5 else value[1:]
+        elif kind == 3:
+            value = (np.nan if rng.random() < 0.5 else -np.inf,) + value[1:]
+        else:
+            del levels[i][j]
+            continue
+        levels[i][j] = Node(parent, prob, value)
+    return FilteredTree(tree.grid, tuple(map(tuple, levels)), tree.dim)
+
+
+def test_validate_matches_node_loop_oracle(rng):
+    trees = [random_tree(rng, max_steps=4, root_atoms=int(rng.integers(1, 3)),
+                         dim=int(rng.integers(1, 3)), branching=(1, 2, 3))
+             for _ in range(150)]
+    for t in trees + [_malformed(t, rng) for t in trees for _ in range(4)]:
+        assert validate(t) == _validate_oracle(t)
+
+
+def test_only_trees_module_makes_nodes():
+    """Every tree the package builds goes through the level-array builder of
+    `adapted_ot.trees`; `figure1_pair` alone writes its trees as literals."""
+    import ast
+    import pathlib
+
+    import adapted_ot
+    makers = set()
+    for path in pathlib.Path(adapted_ot.__file__).parent.glob("*.py"):
+        if path.name == "trees.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and "Node" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    makers.add((path.name, getattr(stmt, "name", None)))
+    assert makers == {("generators.py", "figure1_pair")}
+
+
 def test_law_fig1(fig1):
     p, _ = fig1
     lw = law(p)
