@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .trees import (FilteredTree, Node, PathLaw, TimeGrid, align,
-                    coarsen_filtration, common_grid, discretize_path, law,
-                    regrid, standard_tree, tree_from_json, tree_isomorphic,
+                    coarsen_filtration, common_grid, law, regrid,
+                    standard_tree, tree_from_json, tree_isomorphic,
                     tree_to_json, validate)
 from .prediction import (hk_minimize, is_naturally_filtered, natural_tree,
                          prediction_process, stable_labels)
@@ -12,7 +12,7 @@ from .coupling import (Coupling, EpsShift, ZERO_SHIFT, X_TO_Y, Y_TO_X,
                        causality_constraints, glue, identity_coupling,
                        is_eps_bicausal, is_eps_causal, path_cost_matrix,
                        product_coupling, transport_cost)
-from .lp import LinearProgram, LPError, LPResult, lp_solve, transport_lp
+from .lp import LPError, LPResult, lp_solve, transport_lp
 from .solvers import (DistanceReport, aw, cw, eps_bicausal_lp, hellwig,
                       nested_bicausal, scw, strict_scw, wasserstein)
 from .stopping import (CostFunction, OSResult, StoppingRule, TransferFamily,

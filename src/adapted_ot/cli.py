@@ -112,6 +112,13 @@ def load_tree(spec: str):
     raise CliError(f"unknown generator {name!r}", EXIT_IO)
 
 
+def _hellwig(x, y, p):
+    """Hellwig is built on W1, so any other order is a bad parameter."""
+    if p != 1.0:  # NaN too
+        raise ValueError(f"p must be 1 for hellwig, got {p!r}")
+    return hellwig(x, y)
+
+
 _DIST_FNS = {
     "w": lambda x, y, p: wasserstein(x, y, p),
     "cw": lambda x, y, p: cw(x, y, p),
@@ -119,7 +126,7 @@ _DIST_FNS = {
     "aw": lambda x, y, p: aw(x, y, p),
     "aw_strict": lambda x, y, p: nested_bicausal(x, y, p),
     "scw_strict": lambda x, y, p: strict_scw(x, y, p),
-    "hellwig": lambda x, y, p: hellwig(x, y),
+    "hellwig": _hellwig,
 }
 
 

@@ -6,6 +6,9 @@ Y within a shift of k grid levels when, at every constraint time t_i
 the X-leaves given X's atoms at level min(i+k, N).  `is_eps_causal` checks
 that from masses summed per atom; `causality_constraints` writes it as dense
 LP rows (atom indicators as test functions span all bounded measurables).
+
+`path_cost_matrix` is the one leaf-pair cost of every distance: the sup or
+l1 path metric, built forward over node pairs from `_node_distances`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .trees import FilteredTree, TimeGrid, check_valid
+from .trees import FilteredTree, check_valid
 
 MARGINAL_TOL = 1e-10
 CAUSAL_TOL = 1e-9
@@ -60,11 +63,6 @@ class Coupling:
         err = self.marginal_error()
         if err > tol:
             raise ValueError(f"coupling marginals off by {err:.3e}")
-
-    def to_json_dict(self, left_ref: str = "left",
-                     right_ref: str = "right") -> dict:
-        return {"left": left_ref, "right": right_ref,
-                "weights": self.weights.tolist()}
 
 
 def product_coupling(x: FilteredTree, y: FilteredTree) -> Coupling:
@@ -179,23 +177,10 @@ def glue(pi: Coupling, rho: Coupling) -> Coupling:
     return Coupling(pi.left, rho.right, w)
 
 
-def _path_distances(a: np.ndarray, b: np.ndarray, grid: TimeGrid,
-                    metric: str) -> np.ndarray:
-    """Pairwise distances between the value paths a (m, levels, dim) and
-    b (n, levels, dim) on `grid`; see path_cost_matrix for the metrics.
-    Accumulated one level at a time, so memory stays O(m n dim)."""
-    if metric not in ("sup", "l1"):
-        raise ValueError(f"unknown metric {metric!r}")
-    # l1 weighs level i by t_{i+1} - t_i and the terminal level by 1
-    dt = np.append(np.diff((0.0,) + grid.times), 1.0)
-    out = np.zeros((a.shape[0], b.shape[0]))
-    for i in range(a.shape[1]):
-        dist = np.linalg.norm(a[:, None, i] - b[None, :, i], axis=-1)
-        if metric == "sup":
-            np.maximum(out, dist, out=out)
-        else:
-            out += dt[i] * dist
-    return out
+def _node_distances(x: FilteredTree, y: FilteredTree, level: int) -> np.ndarray:
+    """Euclidean distances between the values of every node pair at `level`."""
+    return np.linalg.norm(x.level_values[level][:, None, :]
+                          - y.level_values[level][None, :, :], axis=-1)
 
 
 def path_cost_matrix(x: FilteredTree, y: FilteredTree, metric: str = "sup") -> np.ndarray:
@@ -207,11 +192,26 @@ def path_cost_matrix(x: FilteredTree, y: FilteredTree, metric: str = "sup") -> n
     [0,1) plus the terminal gap.  The l1 weighting compares paths the way
     convergence in measure does and forgives short time shifts that the sup
     metric prices at full jump height.
+
+    Built forward over node pairs: each level lifts the pair array of the
+    level before through the parents (the level-0 nodes hang from one
+    virtual root pair) and takes the running max with, or adds, that
+    level's node distances.  Each node pair is visited once, and memory
+    stays O(cells).
     """
     _require_same_grid(x, y)
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    return _path_distances(x.leaf_paths, y.leaf_paths, x.grid, metric)
+    if metric not in ("sup", "l1"):
+        raise ValueError(f"unknown metric {metric!r}")
+    # l1 weighs level i by t_{i+1} - t_i and the terminal level by 1
+    dt = np.append(np.diff((0.0,) + x.grid.times), 1.0)
+    out = np.zeros((1, 1))
+    for i in range(x.n_levels):
+        dist = _node_distances(x, y, i)
+        lifted = out[x.parents[i]][:, y.parents[i]]
+        out = np.maximum(lifted, dist) if metric == "sup" else lifted + dt[i] * dist
+    return out
 
 
 def transport_cost(pi: Coupling, p: float = 1.0, metric: str = "sup") -> float:

@@ -61,21 +61,6 @@ class LPError(RuntimeError):
 
 
 @dataclass
-class LinearProgram:
-    c: np.ndarray
-    A: np.ndarray         # dense array or scipy sparse matrix
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float).ravel()
-        if not hasattr(self.A, "tocsr"):
-            self.A = np.asarray(self.A, dtype=float)
-        self.b = np.asarray(self.b, dtype=float).ravel()
-        if self.A.shape != (self.b.size, self.c.size):
-            raise ValueError("inconsistent LP dimensions")
-
-
-@dataclass
 class LPResult:
     status: str            # "optimal" | "infeasible" | "unbounded"
     value: float
@@ -143,9 +128,16 @@ def _highs_solve(c, A, b):
     return status.name, np.array(solver.getSolution().col_value), iterations
 
 
-def lp_solve(lp: LinearProgram) -> LPResult:
-    """Solve to an optimal basic solution; status optimal/infeasible/unbounded."""
-    c, A, b = lp.c, lp.A, lp.b
+def lp_solve(c, A, b) -> LPResult:
+    """Solve min c.x, A x = b, x >= 0 to an optimal basic solution; status
+    optimal/infeasible/unbounded.  A is a dense array or a scipy sparse
+    matrix."""
+    c = np.asarray(c, dtype=float).ravel()
+    if not hasattr(A, "tocsr"):
+        A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float).ravel()
+    if A.shape != (b.size, c.size):
+        raise ValueError("inconsistent LP dimensions")
     n = c.size
     if n == 0:
         return LPResult("optimal", 0.0, np.zeros(0), 0)
@@ -261,7 +253,7 @@ def transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray,
     b[:npp], b[npp:npp + nq] = p, q
     if extra_rhs is not None:
         b[npp + nq:] = extra_rhs
-    return lp_solve(LinearProgram(c, A, b))
+    return lp_solve(c, A, b)
 
 
 def transport_batch(groups):
@@ -316,7 +308,7 @@ def _block_lps(open_members) -> int:
         starts.append([2 * col])   # where the last row ends
         A = csr_matrix((np.ones(2 * col), np.concatenate(indices),
                         np.concatenate(starts)), shape=(sum(map(len, b)), col))
-        res = lp_solve(LinearProgram(np.concatenate(c), A, np.concatenate(b)))
+        res = lp_solve(np.concatenate(c), A, np.concatenate(b))
         if res.status != "optimal":
             raise LPError(f"transport LP ended with status {res.status}")
         iterations += res.iterations

@@ -23,13 +23,22 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _constraint_levels,
-                       _path_distances, causality_constraints, is_eps_bicausal,
+                       _node_distances, causality_constraints, is_eps_bicausal,
                        is_eps_causal, path_cost_matrix, transport_cost)
 from .lp import LPError, transport_batch, transport_lp
-from .trees import FilteredTree, align, check_valid, law, _path_ids
+from .trees import FilteredTree, align, check_valid, _path_ids
 
 DEFAULT_CELL_CAP = 40_000
 DEFAULT_STATE_CAP = 6_000_000
+# A witness's recomputed cost must match the reported value within this,
+# the residual (lp.RESID_TOL) that a returned plan may carry.
+WITNESS_TOL = 1e-8
+# A shift scan stops once W plus the penalty comes within this of the
+# incumbent: no larger shift can then beat it by more than rounding.
+PRUNE_MARGIN = 1e-12
+# A later shift replaces the incumbent only when lower by more than this,
+# so a tie keeps the smaller shift.
+INCUMBENT_MARGIN = 1e-15
 
 
 @dataclass
@@ -43,7 +52,7 @@ class DistanceReport:
     diagnostics: dict = field(default_factory=dict)
     metric: str = "sup"
 
-    def verify_witness(self, tol: float = 1e-8) -> bool:
+    def verify_witness(self, tol: float = WITNESS_TOL) -> bool:
         """Check feasibility of the witness and that it reproduces the value
         less the shift penalty recorded in the diagnostics."""
         if self.coupling is None:
@@ -88,32 +97,30 @@ def _prepare(x: FilteredTree, y: FilteredTree, p: float, metric: str = "sup"):
 def wasserstein(x: FilteredTree, y: FilteredTree, p: float = 1.0,
                 metric: str = "sup", witness: bool = True) -> DistanceReport:
     """W_p between the path laws (filtration-blind; invariant under
-    hk_minimize because the law is)."""
+    hk_minimize because the law is).  The atoms of each law are its
+    distinct leaf paths: their costs are gathered from the leaf-pair cost
+    at each atom's first leaf, their weights summed over their leaves, and
+    the plan of an atom pair is split over its leaf pairs in proportion to
+    the leaf masses."""
     t0 = time.perf_counter()
     x, y = _prepare(x, y, p, metric)
-    lx, ly = law(x), law(y)
-    cost = _path_distances(lx.paths, ly.paths, x.grid, metric)
-    res = transport_lp(lx.weights, ly.weights, cost ** p)
+    (fx, ix), (fy, iy) = _path_ids(x.leaf_paths), _path_ids(y.leaf_paths)
+    wx, wy = np.bincount(ix, x.leaf_probs), np.bincount(iy, y.leaf_probs)
+    cost = path_cost_matrix(x, y, metric)[np.ix_(fx, fy)]
+    res = transport_lp(wx, wy, cost ** p)
     if res.status != "optimal":
         raise LPError(f"transport LP ended with status {res.status}")
     value = max(res.value, 0.0) ** (1.0 / p)
     cpl = None
     if witness:
-        plan = res.x.reshape(lx.weights.size, ly.weights.size)
-        cpl = _expand_law_plan(x, y, lx, ly, plan)
+        plan = res.x.reshape(wx.size, wy.size)
+        cx, cy = x.leaf_probs / wx[ix], y.leaf_probs / wy[iy]
+        cpl = Coupling(x, y, cx[:, None] * plan[ix][:, iy] * cy)
     return DistanceReport("W", p, value, None, 0.0, cpl,
                           {"lp_iterations": res.iterations,
-                           "constraint_count": lx.weights.size + ly.weights.size,
+                           "constraint_count": wx.size + wy.size,
                            "runtime_s": time.perf_counter() - t0},
                           metric=metric)
-
-
-def _expand_law_plan(x, y, lx, ly, plan) -> Coupling:
-    """Lift a coupling of canonicalized laws to a leaf-pair coupling: each
-    atom's mass is split over its leaves in proportion to their masses."""
-    ix, iy = _path_ids(x.leaf_paths)[1], _path_ids(y.leaf_paths)[1]
-    cx, cy = x.leaf_probs / lx.weights[ix], y.leaf_probs / ly.weights[iy]
-    return Coupling(x, y, cx[:, None] * plan[ix][:, iy] * cy)
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +131,14 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
                     state_cap: int = DEFAULT_STATE_CAP,
                     witness: bool = True, metric: str = "sup") -> DistanceReport:
     """Strict adapted (nested) distance by backward induction over arrays of
-    node pairs, one per level.  The sup-metric cost, the running max of the
-    node distances along the ancestor pairs, is built forward; going back,
-    the children of every pair are coupled by an optimal transport at the
-    child values.  The l1 metric at p=1 is time-separable and accumulates
-    instead.  Equals the shift-0 bicausal LP, which is solved instead when
-    the node pairs summed over levels exceed `state_cap` (or for l1 with
-    p>1, whose cost does not factorize)."""
+    node pairs, one per level.  Under the sup metric the terminal cost is
+    the leaf-pair cost `path_cost_matrix(x, y) ** p`; going back, the
+    children of every pair are coupled by an optimal transport at the
+    child values.  The l1 metric at p=1 is time-separable: the sweep starts
+    from the terminal node distances and adds each level's weighted node
+    distances on the way back.  Equals the shift-0 bicausal LP, which is
+    solved instead when the node pairs summed over levels exceed
+    `state_cap` (or for l1 with p>1, whose cost does not factorize)."""
     t0 = time.perf_counter()
     x, y = _prepare(x, y, p, metric)
     states = sum(len(a) * len(b) for a, b in zip(x.levels, y.levels))
@@ -142,22 +150,9 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
         rep.diagnostics["dp_fallback"] = fallback
         return rep
     n_levels = x.n_levels
-
-    def dist(i):
-        return np.linalg.norm(x.level_values[i][:, None, :]
-                              - y.level_values[i][None, :, :], axis=-1)
-
-    def lift(pairs, i):  # a level-(i-1) pair array at the level-i pairs
-        return pairs[x.parents[i]][:, y.parents[i]]
-
-    if metric == "sup":
-        value = dist(0)
-        for i in range(1, n_levels):
-            value = np.maximum(lift(value, i), dist(i))
-        value = value ** p
-    else:
-        # l1 weights the terminal level by the extra point mass at t=1
-        value = dist(n_levels - 1)
+    # l1 weights the terminal level by the extra point mass at t=1
+    value = (path_cost_matrix(x, y) ** p if metric == "sup"
+             else _node_distances(x, y, n_levels - 1))
     plans = [None] * n_levels
     lp_iters = 0
     for i in range(n_levels - 1, -1, -1):
@@ -165,7 +160,8 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
         lp_iters += iters
         plans[i] = plan if witness else None
         if metric == "l1" and i:
-            value = value + (x.level_time(i) - x.level_time(i - 1)) * dist(i - 1)
+            value = value + ((x.level_time(i) - x.level_time(i - 1))
+                             * _node_distances(x, y, i - 1))
     value = max(float(value[0, 0]), 0.0) ** (1.0 / p)
 
     cpl = None
@@ -174,7 +170,7 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
         # its ancestor pairs; leaf index of a terminal node is its node index
         mass = np.ones((1, 1))
         for i in range(n_levels):
-            mass = lift(mass, i) * plans[i]
+            mass = mass[x.parents[i]][:, y.parents[i]] * plans[i]
         cpl = Coupling(x, y, mass)
     return DistanceReport("AW_strict", p, value, 0, 0.0, cpl,
                           {"lp_iterations": lp_iters, "dp_states": states,
@@ -311,7 +307,7 @@ def _scan(x, y, p, directions, kind, penalty, last_shift, witness, metric, w):
         if not 0.0 <= pen < np.inf:
             raise ValueError(f"penalty must be finite and nonnegative, got "
                              f"{pen!r} at shift time {et!r}")
-        if best is not None and w().value + pen >= best.value - 1e-12:
+        if best is not None and w().value + pen >= best.value - PRUNE_MARGIN:
             break
         dp = k == 0 and x.grid.n_steps > 1 and directions == (X_TO_Y, Y_TO_X)
         extra = None if dp else _causality_blocks(x, y, k, directions)
@@ -326,7 +322,7 @@ def _scan(x, y, p, directions, kind, penalty, last_shift, witness, metric, w):
                                                     metric)
         iters += it
         evaluated.append((k, value, pen))
-        if best is None or value + pen < best.value - 1e-15:
+        if best is None or value + pen < best.value - INCUMBENT_MARGIN:
             best = DistanceReport(kind, p, value + pen, k, et, cpl,
                                   {"constraint_count": nrows, "penalty": pen},
                                   metric=metric)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +34,6 @@ class CostFunction:
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = ""
-    bounded: bool = True
-    lipschitz: Optional[float] = None
 
 
 def _psi_by_name(spec: str):
@@ -53,24 +51,23 @@ def _psi_by_name(spec: str):
     raise ValueError(f"unknown psi {spec!r}")
 
 
-def state_cost(psi, name: str = "", lipschitz: Optional[float] = 1.0) -> CostFunction:
+def state_cost(psi, name: str = "") -> CostFunction:
     """phi(f, t) = psi(f(t)), evaluated on the first coordinate; psi maps
     arrays elementwise."""
-    return CostFunction(lambda paths, t: psi(paths[..., -1, 0]),
-                        name or "state", lipschitz=lipschitz)
+    return CostFunction(lambda paths, t: psi(paths[..., -1, 0]), name or "state")
 
 
-def running_max_cost(psi, name: str = "", lipschitz: Optional[float] = 1.0) -> CostFunction:
+def running_max_cost(psi, name: str = "") -> CostFunction:
     """phi(f, t) = psi(max_{s<=t} f(s)) on the first coordinate."""
     return CostFunction(lambda paths, t: psi(paths[..., 0].max(axis=-1)),
-                        name or "running-max", lipschitz=lipschitz)
+                        name or "running-max")
 
 
 def terminal_cost(psi, name: str = "") -> CostFunction:
     """Stopping before the horizon is forbidden (infinite cost)."""
     return CostFunction(lambda paths, t: np.where(t < 1.0 - 1e-12, np.inf,
                                                   psi(paths[..., -1, 0])),
-                        name or "terminal", bounded=False, lipschitz=None)
+                        name or "terminal")
 
 
 def cost_by_name(spec: str) -> CostFunction:

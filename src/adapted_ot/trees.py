@@ -411,22 +411,6 @@ def standard_tree(path_law: PathLaw) -> FilteredTree:
 # Time discretization
 
 
-def discretize_path(values: np.ndarray, source: TimeGrid, target: TimeGrid) -> np.ndarray:
-    """Restrict a piecewise-constant path to a coarser grid.
-
-    `values` holds the levels (t0, source times); the result holds
-    (t0, target times), i.e. the composition of evaluation at target times
-    with the cadlag embedding back.  Every target time must be a source time.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != source.n_steps + 1:
-        raise ValueError("values length does not match source grid")
-    out = [values[0]]
-    for t in target.times:
-        out.append(values[source.index_of(t) + 1])
-    return np.array(out)
-
-
 def coarsen_filtration(tree: FilteredTree, target: TimeGrid) -> FilteredTree:
     """Replace the filtration by its piecewise-constant coarsening on `target`.
 

@@ -24,7 +24,7 @@ def fig1():
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """The LinearProgram of every `lp_solve` call made inside the test.  The
+    """The (c, A, b) of every `lp_solve` call made inside the test.  The
     name is patched in `adapted_ot.lp`, where `transport_lp` and
     `transport_batch` look it up, so every HiGHS call is seen."""
     import adapted_ot.lp as lp
@@ -32,9 +32,9 @@ def lp_calls(monkeypatch):
     calls = []
     solve = lp.lp_solve
 
-    def counted(prog):
-        calls.append(prog)
-        return solve(prog)
+    def counted(c, A, b):
+        calls.append((c, A, b))
+        return solve(c, A, b)
     monkeypatch.setattr(lp, "lp_solve", counted)
     return calls
 
@@ -47,6 +47,20 @@ def interior_shift(grid, steps):
     n, t = grid.n_steps, grid.level_time
     price = max((t(min(i + steps, n)) - t(i) for i in range(1, n)), default=0.0)
     return EpsShift(steps, price if steps > 0 else 0.0)
+
+
+def all_levels_distances(a, b, grid, metric):
+    """Oracle: the path distances between the value paths a (m, levels, dim)
+    and b (n, levels, dim) from one (m, n, levels) array of distances.  The
+    l1 terms are added level by level in time order."""
+    dist = np.linalg.norm(a[:, None, :, :] - b[None, :, :, :], axis=-1)
+    if metric == "sup":
+        return dist.max(axis=-1)
+    dt = np.append(np.diff(np.array((0.0,) + grid.times)), 1.0)
+    out = np.zeros(dist.shape[:2])
+    for i in range(dist.shape[-1]):
+        out = out + dt[i] * dist[:, :, i]
+    return out
 
 
 def rank1_conditional_laws(tree):

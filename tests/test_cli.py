@@ -214,6 +214,28 @@ def test_exit_code_p_below_one(capsys):
     assert "p must be" in err
 
 
+@pytest.mark.parametrize("p", ["nan", "0.5", "3", "inf"])
+def test_exit_code_hellwig_p_other_than_one(capsys, p):
+    # Hellwig is built on W1
+    code, out, err = run_cli(capsys, "dist", "--left", "fig1:P",
+                             "--right", "fig1:Pe(0.1)", "--kind", "hellwig",
+                             "--p", p)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "p must be 1" in err
+
+
+@pytest.mark.parametrize("p", [(), ("--p", "1")], ids=["default", "one"])
+def test_dist_hellwig_at_p_one(capsys, p):
+    code, out, _ = run_cli(capsys, "dist", "--left", "fig1:P",
+                           "--right", "fig1:Pe(0.1)", "--kind", "hellwig", *p)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["p"] == 1.0
+    assert rep["value"] == pytest.approx(0.425, abs=1e-12)
+
+
 def test_dist_rejects_tolerance(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dist", "--left", "fig1:P", "--right", "fig1:P",

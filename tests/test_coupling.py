@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from adapted_ot import (Coupling, EpsShift, ZERO_SHIFT, X_TO_Y, Y_TO_X,
                         product_coupling, quantized_bm_tree, random_tree,
                         random_walk_tree, transport_cost, eps_bicausal_lp,
                         wasserstein)
+from adapted_ot.coupling import path_cost_matrix
 from adapted_ot.trees import align
-from conftest import coarse_tree, deterministic_tree, shuffled
+from conftest import (all_levels_distances, coarse_tree, deterministic_tree,
+                      shuffled)
 
 
 def comonotone_fig1(fig1):
@@ -184,11 +188,13 @@ def test_constraints_empty_for_deterministic_pair():
 
 
 def test_coupling_json(fig1):
+    # a witness coupling is written out through its report
     p, pe = fig1
-    pi = product_coupling(p, pe)
-    d = pi.to_json_dict("P.json", "Pe.json")
-    assert d["left"] == "P.json" and d["right"] == "Pe.json"
-    assert np.allclose(np.array(d["weights"]), 0.25)
+    rep = wasserstein(p, pe)
+    rep.coupling = product_coupling(p, pe)
+    d = json.loads(json.dumps(rep.to_json_dict(include_witness=True)))
+    assert np.allclose(np.array(d["witness"]), 0.25)
+    assert "witness" not in rep.to_json_dict()
 
 
 def test_transport_cost_examples(fig1):
@@ -351,32 +357,30 @@ def test_transport_cost_rejects_bad_order(fig1, p):
         transport_cost(product_coupling(*fig1), p)
 
 
-def _all_levels_distances(a, b, grid, metric):
-    """Oracle: the path distances from one (m, n, levels, dim) array."""
-    dist = np.linalg.norm(a[:, None, :, :] - b[None, :, :, :], axis=-1)
-    if metric == "sup":
-        return dist.max(axis=-1)
-    dt = np.diff(np.array((0.0,) + grid.times))
-    return dist[:, :, :-1] @ dt + dist[:, :, -1]
-
-
 @pytest.mark.parametrize("metric", ["sup", "l1"])
 def test_path_distances_match_all_levels_oracle(rng, metric):
-    from adapted_ot.coupling import _path_distances
     pairs = [(random_walk_tree(n), quantized_bm_tree(n, 2)) for n in (2, 5)]
     pairs += [counterexample_pair(3, 12)]
     pairs += [(random_tree(rng, dim=2, root_atoms=2), random_tree(rng, dim=2))
               for _ in range(10)]
+    # node order permuted within each level, so the parents are not sorted
+    pairs += [(shuffled(random_tree(rng, dim=2, root_atoms=3), rng),
+               shuffled(coarse_tree(rng, dim=2), rng)) for _ in range(10)]
+    # grids of 2 and 3 steps align onto (1/3, 1/2, 2/3, 1)
+    pairs += [(random_walk_tree(2), shuffled(quantized_bm_tree(3, 2), rng))]
+    pairs += [(random_tree(rng, max_steps=2, root_atoms=2),
+               random_tree(rng, max_steps=3)) for _ in range(10)]
+    uneven = 0
     for x, y in pairs:
         x, y = align(x, y)
-        a, b = x.leaf_paths, y.leaf_paths
-        got = _path_distances(a, b, x.grid, metric)
-        want = _all_levels_distances(a, b, x.grid, metric)
+        uneven += len(set(np.round(np.diff((0.0,) + x.grid.times), 12))) > 1
+        got = path_cost_matrix(x, y, metric)
+        want = all_levels_distances(x.leaf_paths, y.leaf_paths, x.grid, metric)
         if metric == "sup":
             assert np.array_equal(got, want)
         else:
-            # the sum over levels runs in another order
             assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    assert uneven >= 2
 
 
 def test_transport_cost_memory_is_quadratic_in_leaves():

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import adapted_ot.lp as lp_module
-from adapted_ot import (LinearProgram, align, counterexample_pair,
-                        eps_bicausal_lp, figure1_pair, lp_solve,
-                        nested_bicausal, random_tree, transport_lp)
+from adapted_ot import (align, counterexample_pair, eps_bicausal_lp,
+                        figure1_pair, lp_solve, nested_bicausal, random_tree,
+                        transport_lp)
 from adapted_ot.lp import (BLOCK_COLUMNS, FEAS_TOL, RESID_TOL, ZERO_TOL,
                            LPError, _two_row_plan, transport_batch)
 
@@ -130,22 +130,22 @@ def test_one_atom_plan_is_the_other_side():
 
 def test_infeasible_detected():
     # x1 = 1 and x1 = 2 simultaneously
-    lp = LinearProgram(np.array([1.0]), np.array([[1.0], [1.0]]),
-                       np.array([1.0, 2.0]))
-    assert lp_solve(lp).status == "infeasible"
+    res = lp_solve(np.array([1.0]), np.array([[1.0], [1.0]]),
+                   np.array([1.0, 2.0]))
+    assert res.status == "infeasible"
 
 
 def test_sign_infeasible_detected():
     # x1 + x2 = -1 with x >= 0
-    lp = LinearProgram(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]),
-                       np.array([-1.0]))
-    assert lp_solve(lp).status == "infeasible"
+    res = lp_solve(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]),
+                   np.array([-1.0]))
+    assert res.status == "infeasible"
 
 
 def test_unbounded_detected():
-    lp = LinearProgram(np.array([-1.0, 0.0]), np.array([[0.0, 1.0]]),
-                       np.array([1.0]))
-    assert lp_solve(lp).status == "unbounded"
+    res = lp_solve(np.array([-1.0, 0.0]), np.array([[0.0, 1.0]]),
+                   np.array([1.0]))
+    assert res.status == "unbounded"
 
 
 def test_redundant_rows_tolerated(rng):
@@ -213,7 +213,7 @@ def test_transport_batch_matches_per_problem_lps(rng, lp_calls):
         if packed[-1] and packed[-1] + size > BLOCK_COLUMNS:
             packed.append(0)
         packed[-1] += size
-    assert [lp.c.size for lp in lp_calls] == packed
+    assert [c.size for c, _, _ in lp_calls] == packed
     assert len(packed) >= 4 and 33 * 32 in packed
     for (p, q, cost), (values, plans) in zip(groups, solved):
         m, n = cost.shape[1:]
@@ -302,10 +302,10 @@ def test_two_column_plan_matches_sort(rng, costs):
 # same tolerances is the oracle for status, solution and iteration count.
 
 
-def _linprog_oracle(prog):
+def _linprog_oracle(c, A, b):
     from scipy.optimize import linprog
 
-    res = linprog(prog.c, A_eq=prog.A, b_eq=prog.b, bounds=(0, None),
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None),
                   method="highs-ds",
                   options={"primal_feasibility_tolerance": FEAS_TOL,
                            "dual_feasibility_tolerance": FEAS_TOL})
@@ -335,27 +335,27 @@ def _oracle_corpus(rng, lp_calls):
     assert len(lp_calls) == 11   # 8 transports, 2 shifts, 1 block LP
     yield from lp_calls
     yield from (
-        LinearProgram([1.0], [[1.0], [1.0]], [1.0, 2.0]),          # infeasible
-        LinearProgram([1.0, 1.0], [[1.0, 1.0]], [-1.0]),           # sign-infeasible
-        LinearProgram([-1.0, 0.0], [[0.0, 1.0]], [1.0]),           # unbounded
-        LinearProgram([1.0, 1.0], [[1.0, 1e16]], [1.0]),           # model error
+        ([1.0], [[1.0], [1.0]], [1.0, 2.0]),          # infeasible
+        ([1.0, 1.0], [[1.0, 1.0]], [-1.0]),           # sign-infeasible
+        ([-1.0, 0.0], [[0.0, 1.0]], [1.0]),           # unbounded
+        ([1.0, 1.0], [[1.0, 1e16]], [1.0]),           # model error
     )
     p, q = np.array([0.25, 0.75]), np.array([0.5, 0.5])
     extra = np.zeros((2, 4))
     extra[0, :2], extra[1, :2] = 1.0, 2.0
-    yield LinearProgram(rng.random(4),                             # redundant rows
-                        np.vstack([lp_module._transport_rows(2, 2, None).toarray(),
-                                   extra]), [*p, *q, p[0], 2 * p[0]])
-    yield LinearProgram(np.zeros(36), lp_module._transport_rows(6, 6, None),
-                        np.full(12, 1 / 6))                        # degenerate
+    yield (rng.random(4),                             # redundant rows
+           np.vstack([lp_module._transport_rows(2, 2, None).toarray(), extra]),
+           [*p, *q, p[0], 2 * p[0]])
+    yield (np.zeros(36), lp_module._transport_rows(6, 6, None),
+           np.full(12, 1 / 6))                        # degenerate
 
 
 def test_lp_solve_matches_linprog(rng, lp_calls):
     progs = list(_oracle_corpus(rng, lp_calls))
     statuses = set()
     for prog in progs:
-        res = lp_solve(prog)
-        status, x, nit = _linprog_oracle(prog)
+        res = lp_solve(*prog)
+        status, x, nit = _linprog_oracle(*prog)
         assert res.status == status
         assert res.iterations == nit
         if status == "optimal":
@@ -377,7 +377,7 @@ def test_highs_options_match_linprog(monkeypatch):
         seen.update(args[-1])
         return wrapper(*args)
     monkeypatch.setattr(linprog_highs, "_highs_wrapper", spy)
-    _linprog_oracle(LinearProgram([1.0, 2.0], [[1.0, 1.0]], [1.0]))
+    _linprog_oracle([1.0, 2.0], [[1.0, 1.0]], [1.0])
     highs, options = lp_module._highs()
     passed = {key: ({True: "on", False: "off"}[val] if key == "presolve" else val)
               for key, val in seen.items() if val is not None and key != "sense"}
@@ -393,7 +393,12 @@ def test_highs_options_match_linprog(monkeypatch):
 def test_lp_solve_rejects_non_finite_data():
     for c, b in (([np.inf, 1.0], [1.0]), ([1.0, 1.0], [np.nan])):
         with pytest.raises(ValueError, match="finite"):
-            lp_solve(LinearProgram(c, [[1.0, 1.0]], b))
+            lp_solve(c, [[1.0, 1.0]], b)
+
+
+def test_lp_solve_rejects_inconsistent_dimensions():
+    with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+        lp_solve([1.0, 1.0], [[1.0, 1.0]], [1.0, 2.0])
 
 
 def test_lp_solve_does_not_use_linprog(monkeypatch, lp_calls):
@@ -414,6 +419,5 @@ def test_bad_solution_entry_raises(monkeypatch, bad):
     # solution that passes the residual check
     monkeypatch.setattr(lp_module, "_highs_solve",
                         lambda c, A, b: ("kOptimal", np.array([1.0, bad]), 1))
-    prog = LinearProgram([1.0, 0.0], [[1.0, 0.0]], [1.0])
     with pytest.raises(LPError, match="NaN entry or violates x >= 0"):
-        lp_solve(prog)
+        lp_solve([1.0, 0.0], [[1.0, 0.0]], [1.0])

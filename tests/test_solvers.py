@@ -11,10 +11,10 @@ from adapted_ot.coupling import (X_TO_Y, Y_TO_X, ZERO_SHIFT, is_eps_causal,
                                   path_cost_matrix)
 from adapted_ot.lp import transport_lp
 from adapted_ot.solvers import DistanceReport
-from adapted_ot.trees import align, regrid
+from adapted_ot.trees import _rounded, align, law, regrid
 
-from conftest import (coarse_tree, deterministic_tree, interior_shift,
-                      rank1_conditional_laws, shuffled)
+from conftest import (all_levels_distances, coarse_tree, deterministic_tree,
+                      interior_shift, rank1_conditional_laws, shuffled)
 
 
 def test_w_fig1_is_the_gap():
@@ -42,6 +42,62 @@ def test_w_invariant_under_hk_minimize(rng):
         base = wasserstein(x, y, witness=False).value
         mini = wasserstein(hk_minimize(x), hk_minimize(y), witness=False).value
         assert mini == pytest.approx(base, abs=1e-10)
+
+
+def _law_wasserstein(x, y, p, metric):
+    """Oracle: W between the canonical path laws of the aligned trees, its
+    plan lifted to the leaf pairs by splitting each atom's mass over its
+    leaves in proportion to theirs.  Returns (value, witness weights,
+    iterations, atoms per side)."""
+    lx, ly = law(x), law(y)
+    cost = all_levels_distances(lx.paths, ly.paths, x.grid, metric)
+    res = transport_lp(lx.weights, ly.weights, cost ** p)
+    plan = res.x.reshape(lx.weights.size, ly.weights.size)
+
+    def atoms(tree, lw):  # each leaf's atom: the law path equal to its path
+        paths = _rounded(lw.paths)
+        return [next(j for j, path in enumerate(paths) if np.array_equal(path, leaf))
+                for leaf in _rounded(tree.leaf_paths)]
+    ix, iy = atoms(x, lx), atoms(y, ly)
+    cx, cy = x.leaf_probs / lx.weights[ix], y.leaf_probs / ly.weights[iy]
+    weights = cx[:, None] * plan[ix][:, iy] * cy
+    return (max(res.value, 0.0) ** (1.0 / p), weights, res.iterations,
+            (lx.weights.size, ly.weights.size))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("metric", ["sup", "l1"])
+def test_w_matches_law_oracle(rng, metric, p):
+    # coarse values merge leaves into one law atom; shuffled node order,
+    # multi-atom roots, dim 2 and grids that align onto a finer one
+    merged = solved = 0
+    for k in range(24):
+        kw = {"dim": 1 + k % 2, "root_atoms": 1 + k % 3}
+        make = coarse_tree if k % 4 else random_tree
+        x, y = make(rng, **kw), make(rng, **kw)
+        if k % 2:
+            x, y = shuffled(x, rng), shuffled(y, rng)
+        x, y = align(x, y)
+        rep = wasserstein(x, y, p, metric=metric)
+        value, weights, iters, atoms = _law_wasserstein(x, y, p, metric)
+        assert rep.value == value
+        assert np.array_equal(rep.coupling.weights, weights)
+        assert rep.diagnostics["lp_iterations"] == iters
+        assert rep.diagnostics["constraint_count"] == sum(atoms)
+        merged += atoms[0] < x.n_leaves or atoms[1] < y.n_leaves
+        solved += iters > 0
+    assert merged >= 10 and solved >= 5
+
+
+def test_w_validates_each_tree_once(monkeypatch):
+    import adapted_ot.trees as trees
+
+    seen = []
+    validate = trees.validate
+    monkeypatch.setattr(trees, "validate", lambda t: seen.append(t) or validate(t))
+    x, y = random_walk_tree(3), quantized_bm_tree(3, 2)
+    wasserstein(x, y)
+    assert len(seen) == 2 and seen[0] is x and seen[1] is y
 
 
 def test_nested_fig1():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from adapted_ot import (FilteredTree, Node, PathLaw, TimeGrid,
-                        coarsen_filtration, counterexample_pair,
-                        discretize_path, law, natural_tree, random_tree,
-                        regrid, standard_tree, tree_from_json, tree_isomorphic,
-                        tree_to_json, validate)
+                        coarsen_filtration, counterexample_pair, law,
+                        natural_tree, random_tree, regrid, standard_tree,
+                        tree_from_json, tree_isomorphic, tree_to_json,
+                        validate)
 from adapted_ot.solvers import aw
 from adapted_ot.trees import TIME_TOL
 
@@ -288,46 +288,6 @@ def test_json_roundtrip(rng):
         assert validate(back) == []
         assert back.grid.times == t.grid.times
         assert np.array_equal(back.leaf_paths, t.leaf_paths)
-
-
-def test_discretize_constant():
-    src = TimeGrid((0.25, 0.5, 0.75, 1.0))
-    tgt = TimeGrid((0.5, 1.0))
-    vals = np.full((5, 1), 3.25)
-    out = discretize_path(vals, src, tgt)
-    assert np.array_equal(out, np.full((3, 1), 3.25))
-
-
-def test_discretize_indexing(rng):
-    # 8-step path onto the 4-step half-grid: direct index oracle
-    src = TimeGrid(tuple((i + 1) / 8 for i in range(8)))
-    tgt = TimeGrid(tuple((i + 1) / 4 for i in range(4)))
-    vals = rng.standard_normal((9, 1))
-    out = discretize_path(vals, src, tgt)
-    assert np.array_equal(out, vals[[0, 2, 4, 6, 8]])
-
-
-def test_discretize_ramp_left_limit_convention():
-    # linear ramp on a fine grid, restricted to {1/2, 1}
-    src = TimeGrid(tuple((i + 1) / 10 for i in range(10)))
-    vals = np.linspace(0.0, 1.0, 11)[:, None]
-    out = discretize_path(vals, src, TimeGrid((0.5, 1.0)))
-    assert np.allclose(out[:, 0], [0.0, 0.5, 1.0])
-
-
-def test_discretize_idempotent(rng):
-    src = TimeGrid(tuple((i + 1) / 6 for i in range(6)))
-    tgt = TimeGrid((1 / 3, 2 / 3, 1.0))
-    vals = rng.standard_normal((7, 1))
-    once = discretize_path(vals, src, tgt)
-    again = discretize_path(once, tgt, tgt)
-    assert np.array_equal(once, again)
-
-
-def test_discretize_rejects_missing_times():
-    src = TimeGrid((0.5, 1.0))
-    with pytest.raises(ValueError):
-        discretize_path(np.zeros((3, 1)), src, TimeGrid((0.25, 1.0)))
 
 
 def test_coarsen_identity(fig1):
