@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .trees import (FilteredTree, Node, PathLaw, TimeGrid, align,
+from .trees import (FilteredTree, GridError, Node, PathLaw, TimeGrid, align,
                     coarsen_filtration, common_grid, law, regrid,
                     standard_tree, tree_from_json, tree_isomorphic,
                     tree_to_json, validate)

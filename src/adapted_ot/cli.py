@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -32,7 +33,7 @@ from .lp import LPError
 from .solvers import (aw, cw, eps_bicausal_lp, hellwig, nested_bicausal, scw,
                       strict_scw, wasserstein)
 from .stopping import cost_by_name, snell_os
-from .trees import tree_from_json, validate
+from .trees import GridError, tree_from_json, validate
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -46,16 +47,61 @@ class CliError(Exception):
         self.code = code
 
 
-def _parse_kv(args: str) -> dict:
-    out = {}
-    if not args:
-        return out
-    for part in args.split(","):
-        k, _, v = part.partition("=")
-        if not _ or not k:
-            raise CliError(f"bad generator arguments {args!r}", EXIT_IO)
-        out[k.strip()] = v.strip()
-    return out
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+def _side(text: str) -> int:
+    if text not in ("x", "y"):
+        raise ValueError(f"must be x or y, got {text!r}")
+    return 0 if text == "x" else 1
+
+
+def _tcbm(bursts, shift, n, m, side):
+    phi1 = bursty_time_change(bursts, 0.05)
+    return time_changed_bm_pair(phi1, shifted_time_change(phi1, shift), n, m)[side]
+
+
+# generator name -> (builder, {key: (type, default)}); a default of None
+# marks a key that the spec must give
+_GENERATORS = {
+    "rw": (random_walk_tree, {"n": (int, None)}),
+    "bm": (quantized_bm_tree, {"n": (int, None), "m": (int, None)}),
+    "counterexample": (lambda n, m: counterexample_pair(n, m)[0],
+                       {"n": (int, None), "m": (int, None)}),
+    "counterexample_limit": (counterexample_limit, {"m": (int, None)}),
+    "offset": (lambda m, side: offset_rw_pair(m)[side],
+               {"m": (int, None), "side": (_side, 0)}),
+    "tcbm": (_tcbm, {"bursts": (int, 5), "shift": (_finite, 0.05),
+                     "n": (int, 20), "m": (int, 2), "side": (_side, 0)}),
+}
+
+
+def _spec_args(text: str, keys: dict) -> dict:
+    """The key=value arguments of a generator spec, each read by its type.
+    An argument without "=", an unknown, repeated or missing key and a
+    value its type rejects raise ValueError."""
+    got = {}
+    for part in text.split(",") if text else ():
+        k, eq, v = (s.strip() for s in part.partition("="))
+        if not eq or not k:
+            raise ValueError(f"bad argument {part!r}")
+        if k not in keys:
+            raise ValueError(f"unknown key {k!r}")
+        if k in got:
+            raise ValueError(f"repeated key {k!r}")
+        try:
+            got[k] = keys[k][0](v)
+        except ValueError as exc:
+            raise ValueError(f"{k}: {exc}") from exc
+    missing = [k for k, (_, default) in keys.items()
+               if default is None and k not in got]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r}")
+    return {k: got.get(k, default) for k, (_, default) in keys.items()}
 
 
 def load_tree(spec: str):
@@ -68,6 +114,8 @@ def load_tree(spec: str):
             raise CliError(f"cannot read {spec}: {exc}", EXIT_IO) from exc
         try:
             tree = tree_from_json(text)
+        except GridError as exc:
+            raise CliError(f"invalid tree: {exc}", EXIT_VALIDATION) from exc
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot parse {spec}: {exc}", EXIT_IO) from exc
         bad = validate(tree)
@@ -76,38 +124,16 @@ def load_tree(spec: str):
         return tree
     name, _, rest = spec.partition(":")
     try:
-        if name == "rw":
-            kv = _parse_kv(rest)
-            return random_walk_tree(int(kv["n"]))
-        if name == "bm":
-            kv = _parse_kv(rest)
-            return quantized_bm_tree(int(kv["n"]), int(kv["m"]))
         if name == "fig1":
             if rest == "P":
                 return figure1_pair(0.1)[0]
             if rest.startswith("Pe(") and rest.endswith(")"):
                 return figure1_pair(float(rest[3:-1]))[1]
             raise CliError("fig1 spec must be fig1:P or fig1:Pe(<gap>)", EXIT_IO)
-        if name == "counterexample":
-            kv = _parse_kv(rest)
-            return counterexample_pair(int(kv["n"]), int(kv["m"]))[0]
-        if name == "counterexample_limit":
-            kv = _parse_kv(rest)
-            return counterexample_limit(int(kv["m"]))
-        if name == "offset":
-            kv = _parse_kv(rest)
-            pair = offset_rw_pair(int(kv["m"]))
-            return pair[0 if kv.get("side", "x") == "x" else 1]
-        if name == "tcbm":
-            kv = _parse_kv(rest)
-            phi1 = bursty_time_change(int(kv.get("bursts", 5)), 0.05)
-            shift = float(kv.get("shift", 0.05))
-            pair = time_changed_bm_pair(phi1, shifted_time_change(phi1, shift),
-                                        int(kv.get("n", 20)), int(kv.get("m", 2)))
-            return pair[0 if kv.get("side", "x") == "x" else 1]
-    except CliError:
-        raise
-    except (KeyError, ValueError) as exc:
+        if name in _GENERATORS:
+            build, keys = _GENERATORS[name]
+            return build(**_spec_args(rest, keys))
+    except ValueError as exc:
         raise CliError(f"bad generator spec {spec!r}: {exc}", EXIT_IO) from exc
     raise CliError(f"unknown generator {name!r}", EXIT_IO)
 

@@ -34,7 +34,9 @@ class ExperimentRecord:
 
 
 def _pool_map(fn, items, threads: int):
-    if threads <= 1:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads == 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

@@ -17,24 +17,31 @@ in an optimal solution raises `LPError`.  The dual simplex ends on a basic
 solution, so every witness is a vertex.
 
 `transport_lp` builds the marginal rows of a coupling as a sparse matrix
-and stacks any extra equality rows under them.  Without extra rows, a
-transport with one atom on a side has one feasible plan, the other side's
-weights, and one with two atoms on a side is solved in closed form.
+and stacks any extra equality rows under them.  Without extra rows, three
+transport shapes skip HiGHS: one with one atom on a side has one feasible
+plan, the other side's weights; one with two atoms on a side is solved in
+closed form; and a 3 x 3 is solved exactly by enumerating its 81 bases,
+the spanning trees of K_{3,3} (Dantzig's transportation simplex), and
+taking the feasible one of least cost.  Either way the plan is a vertex.
 
 `transport_batch` solves many transports without extra rows at once: the
-closed forms run over whole batches of one shape, and every member they
-leave open goes into block-diagonal LPs of at most `BLOCK_COLUMNS` columns,
-one HiGHS call each.  An optimal basis of a block-diagonal LP splits into
-bases of its blocks, so each member's plan is still a vertex.  Every
-returned solution passes the same primal residual check.
+exact small-shape solvers run over whole batches of one shape, and every
+member they leave open goes into block-diagonal LPs of at most
+`BLOCK_COLUMNS` columns, one HiGHS call each.  An optimal basis of a
+block-diagonal LP splits into bases of its blocks, so each member's plan is
+still a vertex.  Every returned solution passes the same primal residual
+check.  Both functions reject a non-finite cost with ValueError, as
+`lp_solve` does.
 
-scipy.optimize and scipy.sparse are imported on first use: processes that
-never solve an LP do not pay for them.
+scipy.optimize and scipy.sparse are imported on first use, and the basis
+table of the 3 x 3 shape is built on first use: processes that never solve
+such a problem do not pay for them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +57,9 @@ BOUND_TOL = 10 * np.sqrt(1e-9)
 # of a large batch would raise peak memory by megabytes; a member larger
 # than this gets an LP to itself.
 BLOCK_COLUMNS = 1024
+# Most 3 x 3 members `_basis_plans` takes at once: its (chunk, 5, 81)
+# temporaries stay under 2 MB each however large the batch.
+_BASIS_CHUNK = 512
 
 # HiGHS model status -> result status, as linprog maps them
 _STATUS = {"kOptimal": "optimal", "kInfeasible": "infeasible",
@@ -190,22 +200,124 @@ def _reduce(ufunc, a, axis):
     return ufunc(a[at + (0,)], a[at + (1,)]) if a.shape[axis] == 2 else a[at + (0,)]
 
 
+def _reach(edges, start):
+    """The vertices that `edges` join to `start`."""
+    seen, todo = {start}, [start]
+    while todo:
+        v = todo.pop()
+        for e in edges:
+            if v in e and (w := e[0] + e[1] - v) not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+@functools.cache
+def _bases():
+    """Tables of the 81 bases of a 3 x 3 transport, in lexicographic order
+    of their cells.  Vertices 0-2 of K_{3,3} are the rows and 3-5 the
+    columns, and cell i*3 + j is the edge (i, 3 + j); five cells make a
+    basis when they make a spanning tree.  Taking one tree edge away cuts
+    the tree in two, and the edge carries the net weight (p minus q) of the
+    side that holds its row.  Over r = (p0, p1, p2, q0, q1), q2 being
+    implied, that flow is an integer row; when the side holds column 2, the
+    negated net weight of the other side is used.  Only 42 flows occur over
+    all bases.  Returns
+
+    - cells (81, 5): each basis's basic cells, row-major;
+    - flows (5, 42): the distinct flows, one column each;
+    - flow (81, 5): the flow each basic cell carries;
+    - mask (81,): bit f set when the basis uses flow f;
+    - terms (2, 99): the distinct (cell, flow) pairs of all bases;
+    - term (5, 81): the pair of each basic cell, so that a basis costs the
+      sum of its five products cost[cell] * flow."""
+    cells, flow, term, flows, terms = [], [], [], {}, {}
+    for tree in itertools.combinations(range(9), 5):
+        edges = [(c // 3, 3 + c % 3) for c in tree]
+        if len(_reach(edges, 0)) < 6:
+            continue
+        cells.append(tree)
+        for k, (i, _) in enumerate(edges):
+            side, sign = _reach(edges[:k] + edges[k + 1:], i), 1.0
+            if 5 in side:
+                side, sign = set(range(6)) - side, -1.0
+            row = tuple(sign * (v in side) * (1.0 if v < 3 else -1.0) + 0.0
+                        for v in range(5))
+            flow.append(flows.setdefault(row, len(flows)))
+            term.append(terms.setdefault((tree[k], flow[-1]), len(terms)))
+    flow = np.array(flow).reshape(-1, 5)
+    mask = np.bitwise_or.reduce(np.uint64(1) << flow.astype(np.uint64), axis=1)
+    tables = (np.array(cells), np.array(list(flows)).T, flow, mask,
+              np.array(list(terms)).T, np.array(term).reshape(-1, 5).T.copy())
+    for t in tables:   # every caller shares them
+        t.flags.writeable = False
+    return tables
+
+
+def _basis_plans(p, q, cost):
+    """Optimal plans of a batch of 3 x 3 transports: p (B, 3), q (B, 3),
+    cost (B, 3, 3) finite.  Every basic solution is formed; those with no
+    entry below -ZERO_TOL are feasible, and the feasible one of least cost
+    wins, ties going to the lowest basis index.  Returns the plans and a
+    mask of the members with no feasible basis.  Every sum runs elementwise
+    in a fixed order, so a member's plan does not depend on its batch."""
+    cells, flows, flow, mask, (tcell, tflow), term = _bases()
+    bits = np.uint64(1) << np.arange(flows.shape[1], dtype=np.uint64)
+    B = len(cost)
+    plan = np.zeros((B, 9))
+    none = np.zeros(B, dtype=bool)
+    rhs = np.concatenate([p, q[:, :2]], axis=1)
+    flat = cost.reshape(B, 9)
+    for s in range(0, B, _BASIS_CHUNK):
+        r, c = rhs[s:s + _BASIS_CHUNK], flat[s:s + _BASIS_CHUNK]
+        f = flows[0] * r[:, :1]
+        for k in range(1, 5):
+            f += flows[k] * r[:, k:k + 1]
+        # the bits of the negative (or NaN) flows: distinct bits sum to their OR
+        negative = np.where(f >= -ZERO_TOL, 0, bits).sum(axis=1, dtype=np.uint64)
+        g = (c[:, tcell] * f[:, tflow])[:, term]
+        total = g[:, 0] + g[:, 1] + g[:, 2] + g[:, 3] + g[:, 4]
+        ok = ((negative[:, None] & mask) == 0) & (total < np.inf)
+        best = np.where(ok, total, np.inf).argmin(axis=1)
+        at = np.arange(best.size)[:, None]
+        plan[s + at, cells[best]] = f[at, flow[best]]
+        none[s:s + best.size] = ~ok[at[:, 0], best]
+    return plan.reshape(B, 3, 3), none
+
+
+def _has_closed_form(m: int, n: int) -> bool:
+    """Whether `_closed_form` solves m x n transports."""
+    return min(m, n) <= 2 or (m, n) == (3, 3)
+
+
 def _closed_form(p, q, cost):
     """Plans and residuals of a batch of transports with one or two atoms on
-    a side: p (B, m), q (B, n), cost (B, m, n); negative weights give inf."""
+    a side, or of 3 x 3 ones: p (B, m), q (B, n), cost (B, m, n) finite;
+    negative weights, or no feasible 3 x 3 basis, give inf."""
     m, n = cost.shape[1:]
+    none = False
     if min(m, n) == 1:
         # one atom forces the plan to the other side's weights
         plan = np.zeros(cost.shape) + (q[:, None] if m == 1 else p[..., None])
     else:
-        plan = (_two_row_plan(p, q, cost) if m == 2 else
-                _two_row_plan(q, p, cost.swapaxes(1, 2)).swapaxes(1, 2))
+        if m == 2:
+            plan = _two_row_plan(p, q, cost)
+        elif n == 2:
+            plan = _two_row_plan(q, p, cost.swapaxes(1, 2)).swapaxes(1, 2)
+        else:
+            plan, none = _basis_plans(p, q, cost)
         plan = np.where(plan < ZERO_TOL, 0.0, plan)
     resid = np.maximum(
         _reduce(np.maximum, np.abs(_reduce(np.add, plan, 2) - p), 1),
         _reduce(np.maximum, np.abs(_reduce(np.add, plan, 1) - q), 1))
-    resid[_reduce(np.logical_or, p < 0, 1) | _reduce(np.logical_or, q < 0, 1)] = np.inf
+    resid[_reduce(np.logical_or, p < 0, 1) | _reduce(np.logical_or, q < 0, 1)
+          | none] = np.inf
     return plan, resid
+
+
+def _check_finite(cost):
+    if not np.isfinite(cost).all():
+        raise ValueError("LP data must be finite")
 
 
 def _marginal_rows(m: int, n: int, count: int):
@@ -243,7 +355,8 @@ def transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray,
     q = np.asarray(q, dtype=float).ravel()
     npp, nq = p.size, q.size
     c = np.asarray(cost, dtype=float).ravel()
-    if extra_rows is None and min(npp, nq) <= 2:
+    _check_finite(c)
+    if extra_rows is None and _has_closed_form(npp, nq):
         plan, resid = _closed_form(p[None], q[None], c.reshape(1, npp, nq))
         # negative or unbalanced weights go to HiGHS, which classifies them
         if resid[0] <= RESID_TOL:
@@ -260,15 +373,17 @@ def transport_batch(groups):
     """`transport_lp` without extra rows over several batches at once, one
     batch per shape: each group is p (B, m), q (B, n), cost (B, m, n).
 
-    The closed forms run on each whole group.  The members they leave open
-    (a failed residual check) and every member with three or more atoms on
-    both sides are packed, in order, into block-diagonal LPs of at most
-    `BLOCK_COLUMNS` columns, one `lp_solve` call each.  Returns one (values
-    (B,), plans (B, m, n)) pair per group and the summed simplex
-    iterations; an infeasible member raises `LPError`."""
+    `_closed_form` runs on each whole group of one or two atoms on a side or
+    of 3 x 3 members.  The members it leaves open (a failed residual check)
+    and every member of a larger shape are packed, in order, into
+    block-diagonal LPs of at most `BLOCK_COLUMNS` columns, one `lp_solve`
+    call each.  Returns one (values (B,), plans (B, m, n)) pair per group
+    and the summed simplex iterations; a non-finite cost raises ValueError
+    and an infeasible member `LPError`."""
     plans, members = [], []
     for p, q, cost in groups:
-        if min(cost.shape[1:]) <= 2:
+        _check_finite(cost)
+        if _has_closed_form(*cost.shape[1:]):
             plan, resid = _closed_form(p, q, cost)
             members.append(np.flatnonzero(~(resid <= RESID_TOL)))
         else:

@@ -32,6 +32,7 @@ places, and to `ISO_DECIMALS` in `tree_isomorphic` alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -82,6 +83,11 @@ def _history_ids(paths: np.ndarray):
         yield first, history
 
 
+class GridError(ValueError):
+    """Grid times that are empty, not finite, not strictly increasing in
+    (0, 1] or do not end at 1."""
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Finite grid 0 < t_1 < ... < t_N = 1.  Zero is the root time, not a member."""
@@ -92,13 +98,16 @@ class TimeGrid:
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         ts = self.times
         if len(ts) == 0:
-            raise ValueError("empty grid")
+            raise GridError("empty grid")
+        # a NaN fails every comparison below
+        if not all(math.isfinite(t) for t in ts):
+            raise GridError("grid times must be finite")
         if abs(ts[-1] - 1.0) > TIME_TOL:
-            raise ValueError("last grid point must be 1")
+            raise GridError("last grid point must be 1")
         prev = 0.0
         for t in ts:
             if t <= prev + TIME_TOL / 10:
-                raise ValueError("grid times must be strictly increasing in (0,1]")
+                raise GridError("grid times must be strictly increasing in (0,1]")
             prev = t
 
     @property

@@ -202,6 +202,44 @@ def test_exit_code_non_finite_tree(tmp_path, capsys):
     assert "non-finite value" in err
 
 
+def test_exit_code_non_finite_grid(tmp_path, capsys):
+    doc = json.loads(tree_to_json(figure1_pair(0.1)[0]))
+    doc["grid"] = [0.5, float("nan")]
+    path = tmp_path / "nan_grid.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("os", "--tree", str(path)),
+                 ("dist", "--left", str(path), "--right", "fig1:P")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "invalid tree: grid times must be finite"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("rw:n=3,zz=1", "unknown key 'zz'"),
+    ("rw:n=3,n=4", "repeated key 'n'"),
+    ("bm:n=3", "missing key 'm'"),
+    ("counterexample:m=8", "missing key 'n'"),
+    ("tcbm:shift=nan,side=x", "shift: must be finite"),
+])
+def test_generator_spec_errors_name_the_key(capsys, spec, message):
+    code, out, err = run_cli(capsys, "os", "--tree", spec)
+    assert code == 1
+    assert out == ""
+    assert err.strip().startswith(f"bad generator spec {spec!r}")
+    assert message in err
+
+
+def test_generator_specs_take_their_keys(capsys):
+    # every key once, in any order, with spaces around it
+    for spec in ("rw:n=3", "bm: m=3 , n=2", "counterexample:n=2,m=8",
+                 "counterexample_limit:m=8", "offset:side=y,m=2",
+                 "tcbm:n=3,m=2,bursts=2,shift=0.04,side=y"):
+        code, out, _ = run_cli(capsys, "os", "--tree", spec)
+        assert code == 0, spec
+        assert "value" in json.loads(out)
+
+
 def test_exit_code_p_below_one(capsys):
     code, out, err = run_cli(capsys, "dist", "--left", "fig1:P",
                              "--right", "fig1:Pe(0.1)", "--p", "0")
@@ -256,6 +294,18 @@ def test_dist_rejects_tolerance(capsys):
     (("euler", "--mu", "x" + "+x" * 3000, "--n-ladder", "8"), 1),
     (("euler", "--mu", "1e400", "--n-ladder", "8"), 1),
     (("euler", "--sigma", "1" * 400, "--n-ladder", "8"), 1),
+    # generator specs: unknown, repeated and missing keys, non-finite floats
+    (("os", "--tree", "rw:n=3,zz=1"), 1),
+    (("os", "--tree", "rw:n=3,n=4"), 1),
+    (("os", "--tree", "tcbm:shift=nan,side=x"), 1),
+    (("os", "--tree", "tcbm:n=3,shift=inf"), 1),
+    (("os", "--tree", "bm:n=3"), 1),
+    (("os", "--tree", "offset:m=2,side=z"), 1),
+    (("donsker", "--n-ladder", "16", "--eps-ladder", "1", "--samples", "4",
+      "--threads", "0"), 2),
+    (("euler", "--n-ladder", "8", "--samples", "4", "--threads", "-1"), 2),
+    (("topology-table", "--family", "fig1", "--ladder", "0.1",
+      "--threads", "0"), 2),
 ])
 def test_bad_input_exits_with_one_line(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)

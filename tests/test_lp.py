@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import adapted_ot.lp as lp_module
-from adapted_ot import (align, counterexample_pair, eps_bicausal_lp,
-                        figure1_pair, lp_solve, nested_bicausal, random_tree,
-                        transport_lp)
+from adapted_ot import (align, bursty_time_change, eps_bicausal_lp,
+                        figure1_pair, gaussian_lattice_tree, hellwig, lp_solve,
+                        nested_bicausal, quantized_bm_tree, random_tree,
+                        random_walk_tree, shifted_time_change,
+                        time_changed_bm_pair, transport_lp)
 from adapted_ot.lp import (BLOCK_COLUMNS, FEAS_TOL, RESID_TOL, ZERO_TOL,
                            LPError, _two_row_plan, transport_batch)
 
@@ -60,7 +62,7 @@ def _brute_force_transport(p, q, cost):
 
 
 def test_3x3_matches_vertex_enumeration(rng):
-    # the two-atom shapes take the closed form, 3x3 goes to HiGHS
+    # the two-atom shapes take the closed form, 3x3 is solved by its bases
     for shape in ((2, 2), (2, 5), (5, 2), (3, 3)):
         for _ in range(5):
             p = rng.dirichlet(np.ones(shape[0]))
@@ -70,6 +72,130 @@ def test_3x3_matches_vertex_enumeration(rng):
             assert res.status == "optimal"
             oracle = _brute_force_transport(p, q, cost)
             assert res.value == pytest.approx(oracle, abs=1e-9)
+
+
+def _highs_transport(p, q, cost):
+    """Oracle: one `lp_solve` call on the marginal rows of an m x n
+    transport."""
+    m, n = cost.shape
+    return lp_solve(cost.ravel(), lp_module._transport_rows(m, n, None),
+                    np.concatenate([p, q]))
+
+
+def _3x3_batches(rng, count=40):
+    def dirichlet(size):
+        return rng.dirichlet(np.ones(3), size=size)
+    third = np.full((count, 3), 1 / 3)
+    zero_weight = dirichlet(count)
+    zero_weight[:, 1] = 0.0
+    zero_weight /= zero_weight.sum(axis=1, keepdims=True)
+    yield "random", dirichlet(count), dirichlet(count), rng.random((count, 3, 3))
+    yield "ties", dirichlet(count), dirichlet(count), np.zeros((count, 3, 3))
+    yield ("few costs", dirichlet(count), dirichlet(count),
+           rng.integers(0, 3, (count, 3, 3)).astype(float))
+    yield "equal weights", third, third, rng.integers(0, 2, (count, 3, 3)) + 0.0
+    yield "zero weight", zero_weight, dirichlet(count), rng.random((count, 3, 3))
+    # the same weights on both sides, one of them 0: degenerate vertices
+    yield "repeated", zero_weight, zero_weight.copy(), rng.random((count, 3, 3))
+
+
+def test_3x3_bases_match_lp_solve(rng, lp_calls):
+    for name, p, q, cost in _3x3_batches(rng):
+        (values, plans), = transport_batch([(p, q, cost)])[0]
+        assert lp_calls == [], name
+        for b in range(len(cost)):
+            oracle = _highs_transport(p[b], q[b], cost[b])
+            assert oracle.status == "optimal"
+            assert abs(values[b] - oracle.value) <= 1e-12, name
+            plan = plans[b]
+            assert (plan >= 0).all()
+            assert np.abs(plan.sum(axis=1) - p[b]).max() <= RESID_TOL
+            assert np.abs(plan.sum(axis=0) - q[b]).max() <= RESID_TOL
+            assert np.count_nonzero(plan) <= 5   # a vertex
+            # no feasible basis is cheaper
+            assert values[b] <= _brute_force_transport(p[b], q[b], cost[b]) + 1e-12
+            single = transport_lp(p[b], q[b], cost[b])
+            assert single.iterations == 0
+            assert single.value == values[b]
+            assert np.array_equal(single.x, plan.ravel())
+        lp_calls.clear()
+
+
+def _first_feasible_basis_plan(p, q):
+    """Oracle: the basic plan of the first five cells, in lexicographic
+    order, that are independent on the marginal rows and feasible."""
+    A = lp_module._transport_rows(3, 3, None).toarray()
+    b = np.concatenate([p, q])
+    for cols in itertools.combinations(range(9), 5):
+        if np.linalg.matrix_rank(A[:, cols]) < 5:
+            continue
+        x = np.zeros(9)
+        x[list(cols)] = np.linalg.lstsq(A[:, cols], b, rcond=None)[0]
+        if (x >= -1e-12).all():
+            return x.reshape(3, 3)
+
+
+def test_3x3_ties_go_to_the_first_basis(rng):
+    # with every cost zero, every feasible basis costs exactly 0 (equal
+    # nonzero costs tie only up to rounding)
+    weights = [rng.dirichlet(np.ones(3)) for _ in range(6)]
+    weights.append(np.full(3, 1 / 3))
+    for p in weights:
+        for q in weights:
+            res = transport_lp(p, q, np.zeros((3, 3)))
+            want = _first_feasible_basis_plan(p, q)
+            assert np.abs(res.x.reshape(3, 3) - want).max() <= 1e-12
+
+
+def test_3x3_bad_weights_go_to_highs(rng, lp_calls):
+    # a negative weight, or unbalanced sides, leave no feasible basis
+    p, q = rng.dirichlet(np.ones(3), size=2)
+    negative = p + [0.5, -0.5, 0.0]
+    for a, b in ((negative, q), (p, negative), (p, 1.5 * q)):
+        res = transport_lp(a, b, rng.random((3, 3)))
+        assert res.status == _highs_transport(a, b, np.zeros((3, 3))).status
+        assert res.status == "infeasible"
+    # sides 2e-10 apart with q2 = 0: the first basis has a cell at -2e-10,
+    # so setting it to 0 would pass the residual check, but it is infeasible
+    a, b = np.array([0.5, 0.25, 0.25]), np.array([0.5 + 2e-10, 0.5, 0.0])
+    res = transport_lp(a, b, np.ones((3, 3)))
+    assert res.status == _highs_transport(a, b, np.ones((3, 3))).status
+    assert len(lp_calls) == 4
+
+
+def test_3x3_bases_on_three_way_trees(monkeypatch):
+    # quantized BM trees have three children per node and many equal costs
+    grid = random_walk_tree(4).grid
+    phi = bursty_time_change(2, 0.1, margin=0.1)
+    pairs = [(quantized_bm_tree(4, 3),
+              gaussian_lattice_tree(grid, [0.1, 0.4, 0.2, 0.3], 3)),
+             time_changed_bm_pair(phi, shifted_time_change(phi, 0.1), 4, 3)]
+    reports = [nested_bicausal(x, y) for x, y in pairs]
+    # the same DP with every 3 x 3 sent to HiGHS
+    monkeypatch.setattr(lp_module, "_has_closed_form", lambda m, n: min(m, n) <= 2)
+    for (x, y), rep in zip(pairs, reports):
+        oracle = nested_bicausal(x, y)
+        assert oracle.diagnostics["lp_iterations"] > 0
+        assert rep.diagnostics["lp_iterations"] == 0
+        assert abs(rep.value - oracle.value) <= 1e-12
+        assert rep.verify_witness() and oracle.verify_witness()
+
+
+def test_3x3_basis_memory_is_bounded():
+    # one level of tcbm(n=6, m=3) couples 59,049 parent pairs at once
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    p, q = rng.dirichlet(np.ones(3), size=(2, 59049))
+    cost = rng.random((59049, 3, 3))
+    tracemalloc.start()
+    try:
+        transport_batch([(p, q, cost)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the values and plans returned are 5.2 MB; the chunked tables add a few
+    assert peak < 16 * 2 ** 20
 
 
 def test_two_atom_closed_form_is_a_vertex(rng):
@@ -199,8 +325,9 @@ def _batch_group(rng, m, n, count):
 
 
 def test_transport_batch_matches_per_problem_lps(rng, lp_calls):
-    # 3 x 3 and larger members fill several block-diagonal LPs; the 33 x 32
-    # member is larger than one LP and is solved alone
+    # members larger than 3 x 3 fill several block-diagonal LPs; the 33 x 32
+    # member is larger than one LP and is solved alone; 3 x 3 members are
+    # solved by their bases
     shapes = {(1, 5): 7, (2, 4): 9, (6, 2): 8, (3, 3): 60, (4, 5): 40,
               (8, 8): 20, (33, 32): 1, (2, 2): 5}
     groups = [_batch_group(rng, m, n, k) for (m, n), k in shapes.items()]
@@ -208,8 +335,8 @@ def test_transport_batch_matches_per_problem_lps(rng, lp_calls):
     assert iterations > 0
     # members are packed in order, each LP as full as the cap allows
     packed = [0]
-    for size in (m * n for (m, n), k in shapes.items() if min(m, n) >= 3
-                 for _ in range(k)):
+    for size in (m * n for (m, n), k in shapes.items()
+                 if min(m, n) >= 3 and (m, n) != (3, 3) for _ in range(k)):
         if packed[-1] and packed[-1] + size > BLOCK_COLUMNS:
             packed.append(0)
         packed[-1] += size
@@ -221,7 +348,7 @@ def test_transport_batch_matches_per_problem_lps(rng, lp_calls):
         for b in range(len(cost)):
             res = transport_lp(p[b], q[b], cost[b])
             assert abs(values[b] - res.value) <= 1e-12
-            if min(m, n) <= 2:
+            if min(m, n) <= 3:
                 # the closed forms give the per-problem plan bit for bit
                 assert np.array_equal(plans[b].ravel(), res.x)
             plan = plans[b]
@@ -315,7 +442,8 @@ def _linprog_oracle(c, A, b):
 
 
 def _transport_corpus(rng):
-    for m, n in ((3, 3), (4, 5), (6, 6), (7, 3)):
+    # a 3 x 3 without extra rows is solved by its bases, not by HiGHS
+    for m, n in ((3, 4), (4, 5), (6, 6), (7, 3)):
         p = rng.dirichlet(np.ones(m))
         q = rng.dirichlet(np.ones(n))
         cost = rng.random((m, n))
@@ -331,7 +459,7 @@ def _oracle_corpus(rng, lp_calls):
     x, y = align(random_tree(rng), random_tree(rng))
     for eps in (0, 1):
         eps_bicausal_lp(x, y, eps)
-    transport_batch([_batch_group(rng, 3, 3, 40), _batch_group(rng, 4, 5, 10)])
+    transport_batch([_batch_group(rng, 3, 4, 40), _batch_group(rng, 4, 5, 10)])
     assert len(lp_calls) == 11   # 8 transports, 2 shifts, 1 block LP
     yield from lp_calls
     yield from (
@@ -396,6 +524,18 @@ def test_lp_solve_rejects_non_finite_data():
             lp_solve(c, [[1.0, 1.0]], b)
 
 
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2), (3, 2), (3, 3), (4, 5)])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_transport_rejects_non_finite_cost(rng, shape, bad):
+    # a 2 x 2 with inf on the diagonal used to give value nan
+    p, q, cost = _batch_group(rng, *shape, 3)
+    cost[1, 0, 0] = cost[1, -1, -1] = bad
+    with pytest.raises(ValueError, match="LP data must be finite"):
+        transport_lp(p[1], q[1], cost[1])
+    with pytest.raises(ValueError, match="LP data must be finite"):
+        transport_batch([_batch_group(rng, 2, 2, 2), (p, q, cost)])
+
+
 def test_lp_solve_rejects_inconsistent_dimensions():
     with pytest.raises(ValueError, match="inconsistent LP dimensions"):
         lp_solve([1.0, 1.0], [[1.0, 1.0]], [1.0, 2.0])
@@ -407,10 +547,12 @@ def test_lp_solve_does_not_use_linprog(monkeypatch, lp_calls):
     def refuse(*args, **kwargs):
         raise AssertionError("linprog called")
     monkeypatch.setattr(scipy.optimize, "linprog", refuse)
-    dp = nested_bicausal(*counterexample_pair(2, 8))
+    # Hellwig's block LPs and a shifted global LP both reach HiGHS
+    hw = hellwig(random_walk_tree(5), quantized_bm_tree(5, 2))
+    assert len(lp_calls) >= 1
     shifted = eps_bicausal_lp(*figure1_pair(0.1), eps=1)
     assert len(lp_calls) >= 2
-    assert dp.verify_witness() and shifted.verify_witness()
+    assert hw.value > 0 and shifted.verify_witness()
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-3])

@@ -9,6 +9,7 @@ from adapted_ot import (FilteredTree, Node, aw, counterexample_pair, cw,
                         coarsen_filtration, TimeGrid)
 from adapted_ot.coupling import (X_TO_Y, Y_TO_X, ZERO_SHIFT, is_eps_causal,
                                   path_cost_matrix)
+from adapted_ot.cli import load_tree
 from adapted_ot.lp import transport_lp
 from adapted_ot.solvers import DistanceReport
 from adapted_ot.trees import _rounded, align, law, regrid
@@ -530,7 +531,7 @@ def test_nested_equals_recursive_oracle(p, metric):
 
 
 def test_nested_matches_recursive_oracle_on_random_pairs(rng):
-    # 3 x 3 and larger child blocks go to HiGHS; shuffled trees have
+    # child blocks larger than 3 x 3 go to HiGHS; shuffled trees have
     # siblings that are not contiguous in their level
     for k in range(24):
         kw = dict(root_atoms=int(rng.integers(1, 4)), branching=(1, 2, 3, 4),
@@ -641,11 +642,24 @@ def test_hellwig_solves_few_lps(lp_calls):
     assert 1 <= len(lp_calls) <= 6
 
 
-def test_nested_makes_one_lp_per_level_with_a_3x3(lp_calls):
+def test_nested_makes_no_lp_for_3x3_levels(lp_calls):
     x, y = align(*counterexample_pair(3, 12))
     # levels at which some parent pair has three children on both sides
     wide = sum(np.bincount(x.parents[i]).max() >= 3
                and np.bincount(y.parents[i]).max() >= 3
                for i in range(x.n_levels))
-    nested_bicausal(x, y)
-    assert len(lp_calls) == wide == 11
+    assert wide == 11
+    rep = nested_bicausal(x, y)
+    # every child block is 1 x k, 2 x k or 3 x 3: no HiGHS call
+    assert len(lp_calls) == 0
+    assert rep.diagnostics["lp_iterations"] == 0
+
+
+def test_nested_three_way_tcbm_pair(lp_calls):
+    # every child block is 3 x 3; the value is the one HiGHS gives
+    x = load_tree("tcbm:n=6,m=3,side=x")
+    y = load_tree("tcbm:n=6,m=3,side=y")
+    rep = nested_bicausal(x, y)
+    assert abs(rep.value - 0.22908568140679478) <= 1e-12
+    assert lp_calls == [] and rep.diagnostics["lp_iterations"] == 0
+    assert rep.verify_witness()

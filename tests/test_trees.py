@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adapted_ot import (FilteredTree, Node, PathLaw, TimeGrid,
+from adapted_ot import (FilteredTree, GridError, Node, PathLaw, TimeGrid,
                         coarsen_filtration, counterexample_pair, law,
                         natural_tree, random_tree, regrid, standard_tree,
                         tree_from_json, tree_isomorphic, tree_to_json,
@@ -22,6 +22,14 @@ def test_grid_invariants():
         TimeGrid((0.5, 0.9))  # last != 1
     with pytest.raises(ValueError):
         TimeGrid((0.5, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("times", [(float("nan"),), (0.5, float("nan")),
+                                   (float("nan"), 1.0), (float("-inf"), 1.0)])
+def test_grid_rejects_non_finite_times(times):
+    # a NaN fails every comparison, so it must be caught by name
+    with pytest.raises(GridError, match="grid times must be finite"):
+        TimeGrid(times)
 
 
 def test_validate_well_formed(fig1):
