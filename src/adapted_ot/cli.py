@@ -47,11 +47,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {text!r}")
-    return value
 
 
 def _side(text: str) -> int:
@@ -60,8 +55,22 @@ def _side(text: str) -> int:
     return 0 if text == "x" else 1
 
 
+# the bursty profile's last ramp ends this long before 1, so a shift up to
+# it keeps 1 -> 1
+_TCBM_MARGIN = 0.05
+
+
+def _tcbm_shift(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    if not 0.0 <= value <= _TCBM_MARGIN:
+        raise ValueError(f"must be in [0, {_TCBM_MARGIN}], got {text!r}")
+    return value
+
+
 def _tcbm(bursts, shift, n, m, side):
-    phi1 = bursty_time_change(bursts, 0.05)
+    phi1 = bursty_time_change(bursts, 0.05, _TCBM_MARGIN)
     return time_changed_bm_pair(phi1, shifted_time_change(phi1, shift), n, m)[side]
 
 
@@ -75,7 +84,7 @@ _GENERATORS = {
     "counterexample_limit": (counterexample_limit, {"m": (int, None)}),
     "offset": (lambda m, side: offset_rw_pair(m)[side],
                {"m": (int, None), "side": (_side, 0)}),
-    "tcbm": (_tcbm, {"bursts": (int, 5), "shift": (_finite, 0.05),
+    "tcbm": (_tcbm, {"bursts": (int, 5), "shift": (_tcbm_shift, 0.05),
                      "n": (int, 20), "m": (int, 2), "side": (_side, 0)}),
 }
 

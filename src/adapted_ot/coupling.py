@@ -8,7 +8,8 @@ that from masses summed per atom; `causality_constraints` writes it as dense
 LP rows (atom indicators as test functions span all bounded measurables).
 
 `path_cost_matrix` is the one leaf-pair cost of every distance: the sup or
-l1 path metric, built forward over node pairs from `_node_distances`.
+l1 path metric, built forward over node pairs from `_node_distances`, the
+l1 one weighted by `_level_weights`, which Hellwig's time integral reads too.
 """
 
 from __future__ import annotations
@@ -183,6 +184,11 @@ def _node_distances(x: FilteredTree, y: FilteredTree, level: int) -> np.ndarray:
                           - y.level_values[level][None, :, :], axis=-1)
 
 
+def _level_weights(grid) -> np.ndarray:
+    """dt + delta_1 per level: t_{i+1} - t_i (t_0 = 0), and 1 at the last."""
+    return np.append(np.diff((0.0,) + grid.times), 1.0)
+
+
 def path_cost_matrix(x: FilteredTree, y: FilteredTree, metric: str = "sup") -> np.ndarray:
     """Pairwise path distances between leaves.
 
@@ -204,8 +210,7 @@ def path_cost_matrix(x: FilteredTree, y: FilteredTree, metric: str = "sup") -> n
         raise ValueError("dimension mismatch")
     if metric not in ("sup", "l1"):
         raise ValueError(f"unknown metric {metric!r}")
-    # l1 weighs level i by t_{i+1} - t_i and the terminal level by 1
-    dt = np.append(np.diff((0.0,) + x.grid.times), 1.0)
+    dt = _level_weights(x.grid)
     out = np.zeros((1, 1))
     for i in range(x.n_levels):
         dist = _node_distances(x, y, i)

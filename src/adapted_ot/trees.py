@@ -151,10 +151,11 @@ class Node:
     value: tuple
 
     def __post_init__(self):
-        v = self.value
-        if np.ndim(v) == 0:
-            v = (float(v),)
-        object.__setattr__(self, "value", tuple(float(x) for x in v))
+        try:
+            v = tuple(map(float, self.value))
+        except TypeError:  # not iterable: a scalar or a 0-d array
+            v = (float(self.value),)
+        object.__setattr__(self, "value", v)
 
 
 @dataclass(frozen=True)
@@ -565,11 +566,19 @@ def tree_to_json(tree: FilteredTree) -> str:
     return "".join(parts)
 
 
+def _json_number(v, what: str, types=(int, float)):
+    """`v` if it is a JSON number of `types`, never a bool or a string."""
+    if isinstance(v, bool) or not isinstance(v, types):
+        raise ValueError(f"{what} must be a JSON {'integer' if types is int else 'number'}"
+                         f", got {v!r}")
+    return v
+
+
 def tree_from_json(text: str) -> FilteredTree:
     obj = json.loads(text)
+    dim = _json_number(obj["dim"], "dim", int)
     grid = TimeGrid(tuple(obj["grid"]))
-    levels = []
-    for lv in obj["levels"]:
-        levels.append(tuple(Node(nd["parent"], float(nd["prob"]), tuple(nd["value"]))
-                            for nd in lv))
-    return FilteredTree(grid, tuple(levels), int(obj["dim"]))
+    levels = [[Node(nd["parent"], float(_json_number(nd["prob"], "prob")),
+                    [_json_number(c, "value") for c in nd["value"]]) for nd in lv]
+              for lv in obj["levels"]]
+    return FilteredTree(grid, levels, dim)

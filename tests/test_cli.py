@@ -221,6 +221,9 @@ def test_exit_code_non_finite_grid(tmp_path, capsys):
     ("bm:n=3", "missing key 'm'"),
     ("counterexample:m=8", "missing key 'n'"),
     ("tcbm:shift=nan,side=x", "shift: must be finite"),
+    # the bursty profile's margin bounds the shift
+    ("tcbm:n=3,m=2,bursts=2,shift=0.1,side=y", "shift: must be in [0, 0.05]"),
+    ("tcbm:n=3,m=2,bursts=2,shift=-0.01,side=y", "shift: must be in [0, 0.05]"),
 ])
 def test_generator_spec_errors_name_the_key(capsys, spec, message):
     code, out, err = run_cli(capsys, "os", "--tree", spec)
@@ -234,10 +237,55 @@ def test_generator_specs_take_their_keys(capsys):
     # every key once, in any order, with spaces around it
     for spec in ("rw:n=3", "bm: m=3 , n=2", "counterexample:n=2,m=8",
                  "counterexample_limit:m=8", "offset:side=y,m=2",
-                 "tcbm:n=3,m=2,bursts=2,shift=0.04,side=y"):
+                 "tcbm:n=3,m=2,bursts=2,shift=0.04,side=y",
+                 "tcbm:n=3,m=2,bursts=2,shift=0,side=y",
+                 "tcbm:n=3,m=2,bursts=2,shift=0.05,side=y"):
         code, out, _ = run_cli(capsys, "os", "--tree", spec)
         assert code == 0, spec
         assert "value" in json.loads(out)
+
+
+def _edited_fig1(path, edit):
+    doc = json.loads(tree_to_json(figure1_pair(0.1)[0]))
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _set_node(key, value):
+    return lambda doc: doc["levels"][-1][0].update({key: value})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(dim=1.5), "dim must be a JSON integer, got 1.5"),
+    (lambda doc: doc.update(dim=True), "dim must be a JSON integer, got True"),
+    (_set_node("prob", "0.5"), "prob must be a JSON number, got '0.5'"),
+    (_set_node("prob", True), "prob must be a JSON number, got True"),
+    (_set_node("value", ["1"]), "value must be a JSON number, got '1'"),
+], ids=["dim-float", "dim-bool", "prob-string", "prob-bool", "value-string"])
+def test_tree_json_takes_only_json_numbers(tmp_path, capsys, edit, message):
+    path = _edited_fig1(tmp_path / "tree.json", edit)
+    for argv in (("os", "--tree", path),
+                 ("dist", "--kind", "w", "--left", path, "--right", "fig1:P")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"cannot parse {path}: {message}"]
+
+
+def test_tree_json_number_edge_cases(tmp_path, capsys):
+    # "dim": 0 is an integer, rejected by validation; an integer prob is a number
+    path = _edited_fig1(tmp_path / "dim0.json", lambda doc: doc.update(dim=0))
+    code, out, err = run_cli(capsys, "os", "--tree", path)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("invalid tree: value dimension mismatch")
+    path = _edited_fig1(tmp_path / "prob1.json", lambda doc: doc["levels"][0][0]
+                        .update(prob=1))
+    code, out, _ = run_cli(capsys, "os", "--tree", path)
+    assert code == 0
+    assert "value" in json.loads(out)
 
 
 def test_exit_code_p_below_one(capsys):

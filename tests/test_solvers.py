@@ -456,9 +456,12 @@ def test_unknown_metric_rejected(fig1, fn):
 def _recursive_nested(x, y, p, metric):
     """Oracle: the nested DP as a recursion over node pairs, with a memo
     keyed by (level, x-node, y-node) and an explicit stack for the witness.
+    The path cost is carried down to the leaves: the running max of the
+    node distances (sup), or their sum weighted by t_{i+1} - t_i and by 1 at
+    the terminal level, added in time order (l1).
     Returns (value, witness weights, states, simplex iterations)."""
     n_levels = x.n_levels
-    dt = np.diff(np.array((0.0,) + x.grid.times))
+    dt = np.append(np.diff(np.array((0.0,) + x.grid.times)), 1.0)
     memo, plans = {}, {}
     lp_iters = 0
     xv, yv = x.level_values, y.level_values
@@ -473,27 +476,28 @@ def _recursive_nested(x, y, p, metric):
         if hit is not None:
             return hit
         if i == n_levels - 1:
-            val = m ** p if metric == "sup" else node_dist(i, vi, wj)
-            memo[key] = val
-            return val
-        local = dt[i] * node_dist(i, vi, wj) if metric == "l1" else 0.0
+            memo[key] = m ** p
+            return memo[key]
         cx, cy = x.children[i][vi], y.children[i][wj]
         cost = np.empty((len(cx), len(cy)))
         for a, c in enumerate(cx):
             for b, d in enumerate(cy):
-                mm = max(m, node_dist(i + 1, c, d)) if metric == "sup" else 0.0
-                cost[a, b] = solve(i + 1, c, d, mm)
+                cost[a, b] = solve(i + 1, c, d, step(m, i + 1, c, d))
         res = transport_lp(x.probs[i + 1][cx], y.probs[i + 1][cy], cost)
         lp_iters += res.iterations
-        memo[key] = res.value + local
+        memo[key] = res.value
         plans[key] = res.x.reshape(len(cx), len(cy))
         return memo[key]
+
+    def step(m, i, vi, wj):
+        d = node_dist(i, vi, wj)
+        return max(m, d) if metric == "sup" else m + dt[i] * d
 
     rx, ry = x.probs[0], y.probs[0]
     root_cost = np.empty((rx.size, ry.size))
     for vi in range(rx.size):
         for wj in range(ry.size):
-            root_cost[vi, wj] = solve(0, vi, wj, node_dist(0, vi, wj))
+            root_cost[vi, wj] = solve(0, vi, wj, step(0.0, 0, vi, wj))
     root = transport_lp(rx, ry, root_cost)
     lp_iters += root.iterations
     value = max(root.value, 0.0) ** (1.0 / p)
@@ -513,6 +517,34 @@ def _recursive_nested(x, y, p, metric):
                 if plan[a, b] > 0:
                     stack.append((i + 1, c, d, mass * plan[a, b]))
     return value, w, len(memo), lp_iters
+
+
+def _separable_l1_nested(x, y):
+    """Second oracle for l1 at p = 1, whose cost is time-separable: a node
+    pair adds its own node distance, weighted by t_{i+1} - t_i, to the
+    transport of its children's values, and a leaf pair is worth its
+    unweighted distance.  Returns the value."""
+    n_levels = x.n_levels
+    dt = np.diff(np.array((0.0,) + x.grid.times))
+    xv, yv = x.level_values, y.level_values
+    memo = {}
+
+    def solve(i, vi, wj):
+        if (i, vi, wj) not in memo:
+            d = float(np.linalg.norm(xv[i][vi] - yv[i][wj]))
+            if i == n_levels - 1:
+                memo[i, vi, wj] = d
+            else:
+                cx, cy = x.children[i][vi], y.children[i][wj]
+                cost = np.array([[solve(i + 1, c, e) for e in cy] for c in cx])
+                res = transport_lp(x.probs[i + 1][cx], y.probs[i + 1][cy], cost)
+                memo[i, vi, wj] = res.value + dt[i] * d
+        return memo[i, vi, wj]
+
+    rx, ry = x.probs[0], y.probs[0]
+    cost = np.array([[solve(0, vi, wj) for wj in range(ry.size)]
+                     for vi in range(rx.size)])
+    return max(transport_lp(rx, ry, cost).value, 0.0)
 
 
 @pytest.mark.parametrize("p, metric", [(1.0, "sup"), (2.0, "sup"), (1.0, "l1")])
@@ -545,6 +577,26 @@ def test_nested_matches_recursive_oracle_on_random_pairs(rng):
             rep = nested_bicausal(x, y, p, metric=metric)
             assert abs(rep.value - _recursive_nested(x, y, p, metric)[0]) <= 1e-12
             assert rep.verify_witness()
+        assert abs(rep.value - _separable_l1_nested(x, y)) <= 1e-12
+
+
+def test_solvers_module_holds_no_path_metric():
+    """The path metrics are defined in `adapted_ot.coupling` alone:
+    `solvers.py` names no node distances and reads no grid times."""
+    import ast
+    import pathlib
+
+    import adapted_ot.solvers
+    found = set()
+    for node in ast.walk(ast.parse(pathlib.Path(adapted_ot.solvers.__file__).read_text())):
+        name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                or getattr(node, "name", None))
+        if name == "_node_distances":
+            found.add(name)
+        if (isinstance(node, ast.Attribute) and node.attr == "times"
+                and getattr(node.value, "attr", None) == "grid"):
+            found.add("grid.times")
+    assert not found
 
 
 def test_state_cap_is_decided_from_the_tree_shapes():
