@@ -117,9 +117,10 @@ def euler_table(mu, sigma, x0: float, n_ladder, samples: int, seed: int,
 
 # Largest leaf product x.n_leaves * y.n_leaves for which a table row has a
 # Hellwig column; above it the column is NaN.  Hellwig's ground transports
-# cover that many cells at every level, and at the root they are one dense
-# transport of all leaves against all leaves, so larger pairs would
-# dominate the time of a row.
+# cover that many cells at every level, and at the root they are one
+# transport of all leaves against all leaves (its LP holds only the cells
+# below the cap, but the costs of all of them are built), so larger pairs
+# would dominate the time of a row.
 HELLWIG_MAX_LEAF_CELLS = 2048
 
 OS_BATTERY = ("state:identity", "state:abs", "running-max:identity",

@@ -30,8 +30,14 @@ member they leave open goes into block-diagonal LPs of at most
 `BLOCK_COLUMNS` columns, one HiGHS call each.  An optimal basis of a
 block-diagonal LP splits into bases of its blocks, so each member's plan is
 still a vertex.  Every returned solution passes the same primal residual
-check.  Both functions reject a non-finite cost with ValueError, as
-`lp_solve` does.
+check.  `transport_values` gives the values of such a batch only, and
+solves each open member over its cells below its largest cost U, with a
+slack on each row and column that has one (Pele & Werman, ICCV 2009): the
+other cells all cost U, so a member whose cells mostly sit at U, as under
+a capped ground cost, makes a much smaller LP.  The same builder makes the
+LPs of both functions; a member of `transport_batch` is the case with
+every cell and no slack.  All three functions reject a non-finite cost
+or weight with ValueError, as `lp_solve` does.
 
 scipy.optimize and scipy.sparse are imported on first use, and the basis
 table of the 3 x 3 shape is built on first use: processes that never solve
@@ -320,27 +326,17 @@ def _check_finite(cost):
         raise ValueError("LP data must be finite")
 
 
-def _marginal_rows(m: int, n: int, count: int):
-    """Column indices and row starts (CSR) of the marginal rows of `count`
-    m x n transports stacked block-diagonally.  Member k owns the columns
-    k*m*n onwards (row-major cells) and m + n rows: sum_j x[i, j] = p[i],
-    then sum_i x[i, j] = q[j].  Each column has two nonzeros."""
-    cells = np.arange(m * n)
-    first = m * n * np.arange(count)[:, None]
-    indices = np.concatenate([cells, cells.reshape(m, n).T.ravel()]) + first
-    starts = np.concatenate([np.arange(0, m * n, n),
-                             m * n + np.arange(0, m * n, m)]) + 2 * first
-    return indices.ravel(), starts.ravel()
-
-
 def _transport_rows(npp: int, nq: int, extra_rows):
     """CSR rows of sum_j x[i, j] = p[i], then of sum_i x[i, j] = q[j], then
     the extra rows."""
     from scipy.sparse import csr_matrix, vstack
 
-    indices, starts = _marginal_rows(npp, nq, 1)
-    A = csr_matrix((np.ones(indices.size), indices,
-                    np.append(starts, indices.size)), shape=(npp + nq, npp * nq))
+    cells = np.arange(npp * nq)
+    indices = np.concatenate([cells, cells.reshape(npp, nq).T.ravel()])
+    starts = np.concatenate([np.arange(0, npp * nq + 1, nq),
+                             npp * nq + np.arange(npp, npp * nq + 1, npp)])
+    A = csr_matrix((np.ones(indices.size), indices, starts),
+                   shape=(npp + nq, npp * nq))
     if extra_rows is None:
         return A
     return vstack([A, csr_matrix(extra_rows)], format="csr")
@@ -369,6 +365,31 @@ def transport_lp(p: np.ndarray, q: np.ndarray, cost: np.ndarray,
     return lp_solve(c, A, b)
 
 
+def _closed_forms(groups):
+    """Per group of `transport_batch`: the plans `_closed_form` gives on a
+    group of a shape it solves (its other members' entries are unset), and
+    the members it leaves open: those that fail the residual check, or all
+    of them."""
+    plans, open_members = [], []
+    for p, q, cost in groups:
+        _check_finite(cost)
+        if _has_closed_form(*cost.shape[1:]):
+            plan, resid = _closed_form(p, q, cost)
+            open_members.append(np.flatnonzero(~(resid <= RESID_TOL)))
+        else:
+            plan = np.empty(cost.shape)
+            open_members.append(np.arange(len(cost)))
+        plans.append(plan)
+    return plans, open_members
+
+
+def _member_values(cost, plan):
+    """cost . plan per member, one dot product each: the value `c @ x` that
+    `_optimal` gives for the same plan, bit for bit."""
+    B, m, n = cost.shape
+    return np.matmul(cost.reshape(B, 1, m * n), plan.reshape(B, m * n, 1)).reshape(B)
+
+
 def transport_batch(groups):
     """`transport_lp` without extra rows over several batches at once, one
     batch per shape: each group is p (B, m), q (B, n), cost (B, m, n).
@@ -377,79 +398,135 @@ def transport_batch(groups):
     of 3 x 3 members.  The members it leaves open (a failed residual check)
     and every member of a larger shape are packed, in order, into
     block-diagonal LPs of at most `BLOCK_COLUMNS` columns, one `lp_solve`
-    call each.  Returns one (values (B,), plans (B, m, n)) pair per group
-    and the summed simplex iterations; a non-finite cost raises ValueError
-    and an infeasible member `LPError`."""
-    plans, members = [], []
-    for p, q, cost in groups:
-        _check_finite(cost)
-        if _has_closed_form(*cost.shape[1:]):
-            plan, resid = _closed_form(p, q, cost)
-            members.append(np.flatnonzero(~(resid <= RESID_TOL)))
-        else:
-            plan = np.empty(cost.shape)
-            members.append(np.arange(len(cost)))
-        plans.append(plan)
-    iterations = _block_lps([(group, idx, plan) for group, idx, plan
-                             in zip(groups, members, plans) if idx.size])
-    out = []
-    for (_, _, cost), plan in zip(groups, plans):
-        B, m, n = cost.shape
-        # one dot product per member: values equal `c @ x` in `_optimal` exactly
-        values = np.matmul(cost.reshape(B, 1, m * n), plan.reshape(B, m * n, 1))
-        out.append((values.reshape(B), plan))
-    return out, iterations
+    call each; a member has every cell as a column.  Returns one
+    (values (B,), plans (B, m, n)) pair per group and the summed simplex
+    iterations; a non-finite cost or weight raises ValueError and an
+    infeasible member `LPError`."""
+    plans, open_members = _closed_forms(groups)
+    iterations = _block_lps([(p[idx], q[idx], cost[idx], None, plan, idx)
+                             for (p, q, cost), idx, plan
+                             in zip(groups, open_members, plans) if idx.size])
+    return [(_member_values(cost, plan), plan)
+            for (_, _, cost), plan in zip(groups, plans)], iterations
 
 
-def _block_lps(open_members) -> int:
-    """Solve the members `idx` of each (group, idx, plan) of `open_members`
-    as block-diagonal LPs and write their plans into `plan`; returns the
-    summed simplex iterations."""
-    if not open_members:
+def transport_values(groups):
+    """The optimal values of the transports of `transport_batch`, without
+    their plans: one values (B,) array per group and the summed simplex
+    iterations.
+
+    The members `_closed_form` solves get the values of its plans.  Every
+    other member, with U its largest cost, is solved over its cells below
+    U only (Pele & Werman, "Fast and robust Earth Mover's Distances", ICCV
+    2009): a plan splits into a sub-plan rho on those cells and a remainder
+    that costs exactly U per unit, so its value is U * sum(p) plus the
+    least sum of (c - U) * rho over rho >= 0 whose row sums are at most p
+    and column sums at most q.  A slack column on each row and column with
+    a cell below U turns these bounds into equalities, and rows and columns
+    without one drop out.  At an optimum no leftover row meets a leftover
+    column at a cell below U, so any completion of rho by the leftovers is
+    an optimal plan.  A member with no cell below U is worth U * sum(p) and
+    makes no LP.  The bounded LP is feasible for any weights, so a
+    negative weight, or sides whose totals differ by more than `RESID_TOL`,
+    raise `LPError` here."""
+    plans, open_members = _closed_forms(groups)
+    values, pieces, reduced = [], [], []
+    for (p, q, cost), idx, plan in zip(groups, open_members, plans):
+        plan[idx] = 0.0   # the open members' values are set below
+        values.append(_member_values(cost, plan))
+        if not idx.size:
+            continue
+        p, q, cost = p[idx], q[idx], cost[idx]
+        _check_finite(p)
+        _check_finite(q)
+        if (p < 0).any() or (q < 0).any():
+            raise LPError("transport LP is infeasible: a negative weight")
+        gap = np.abs(p.sum(axis=1) - q.sum(axis=1))
+        if (gap > RESID_TOL).any():
+            raise LPError(f"transport LP is infeasible: sides differ by {gap.max():.3e}")
+        top = cost.max(axis=(1, 2))
+        below = cost - top[:, None, None]
+        keep = below < 0
+        sub = np.zeros(below.shape)
+        lp = np.flatnonzero(keep.any(axis=(1, 2)))
+        if lp.size:
+            pieces.append((p[lp], q[lp], below[lp], keep[lp], sub, lp))
+        reduced.append((values[-1], idx, top * p.sum(axis=1), below, sub))
+    iterations = _block_lps(pieces)
+    for v, idx, capped, below, sub in reduced:
+        v[idx] = capped + _member_values(below, sub)
+    return values, iterations
+
+
+def _block_lps(pieces) -> int:
+    """Solve every member of each (p, q, cost, keep, plan, idx) of `pieces`
+    in block-diagonal LPs of at most `BLOCK_COLUMNS` columns, packed in
+    order (a member larger than that gets an LP to itself), and write the
+    solution of its cell columns into `plan[idx]`; returns the summed
+    simplex iterations.
+
+    p (K, m), q (K, n) and cost (K, m, n) hold the K members.  With keep
+    None a member's columns are its cells, row-major, and its rows are its
+    m + n marginal rows.  Otherwise keep (K, m, n) marks the cells that are
+    columns; every row or column of the member with a kept cell keeps its
+    marginal row and gets a slack column of cost 0 in it, and the others
+    drop out.  The cell columns of an LP come first, then its slacks."""
+    if not pieces:
         return 0
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csc_array
 
     iterations = 0
-    for pack in _packs(open_members):
-        indices, starts, c, b, col = [], [], [], [], 0
-        for (p, q, cost), idx, _ in pack:
-            m, n = cost.shape[1:]
-            ind, st = _marginal_rows(m, n, idx.size)
-            indices.append(ind + col)
-            starts.append(st + 2 * col)
-            c.append(cost[idx].ravel())
-            b.append(np.concatenate([p[idx], q[idx]], axis=1).ravel())
-            col += idx.size * m * n
-        starts.append([2 * col])   # where the last row ends
-        A = csr_matrix((np.ones(2 * col), np.concatenate(indices),
-                        np.concatenate(starts)), shape=(sum(map(len, b)), col))
-        res = lp_solve(np.concatenate(c), A, np.concatenate(b))
+    for pack in _packs(pieces):
+        cells, pairs, c, b, slacks, count = [], [], [], [], [], 0
+        for (p, q, cost, keep, _, _), at in pack:
+            p, q, cost = p[at], q[at], cost[at]
+            kept = np.ones(cost.shape, bool) if keep is None else keep[at]
+            on = np.concatenate([kept.any(axis=2), kept.any(axis=1)], axis=1)
+            # the LP row of each marginal row that stays (where `on`)
+            row = np.cumsum(on).reshape(on.shape) + (count - 1)
+            count += int(on.sum())
+            k, i, j = np.nonzero(kept)
+            cells.append((k, i, j))
+            pairs.append(np.stack([row[k, i], row[k, cost.shape[1] + j]], axis=1).ravel())
+            c.append(cost[kept])
+            b.append(np.concatenate([p, q], axis=1)[on])
+            if keep is not None:
+                slacks.append(row[on])
+        pairs = np.concatenate(pairs)
+        slack = np.concatenate(slacks) if slacks else np.zeros(0, dtype=pairs.dtype)
+        starts = np.concatenate([np.arange(0, pairs.size, 2),
+                                 pairs.size + np.arange(slack.size + 1)])
+        A = csc_array((np.ones(starts[-1]), np.concatenate([pairs, slack]), starts),
+                      shape=(count, starts.size - 1))
+        res = lp_solve(np.concatenate(c + [np.zeros(slack.size)]), A, np.concatenate(b))
         if res.status != "optimal":
             raise LPError(f"transport LP ended with status {res.status}")
         iterations += res.iterations
         col = 0
-        for (_, _, cost), idx, plan in pack:
-            size = idx.size * cost[0].size
-            plan[idx] = res.x[col:col + size].reshape(idx.size, *cost.shape[1:])
-            col += size
+        for ((_, _, _, _, plan, idx), at), (k, i, j) in zip(pack, cells):
+            plan[idx[at][k], i, j] = res.x[col:col + k.size]
+            col += k.size
     return iterations
 
 
-def _packs(open_members):
-    """Split the members, in order, into packs of (group, idx, plan) pieces
-    of at most BLOCK_COLUMNS columns in all; a member larger than that
-    makes a pack alone."""
-    pack, used = [], 0
-    for group, idx, plan in open_members:
-        size = group[2][0].size
-        while idx.size:
-            fits = max((BLOCK_COLUMNS - used) // size, 0 if used else 1)
-            if not fits:
-                yield pack
-                pack, used = [], 0
-                continue
-            pack.append((group, idx[:fits], plan))
-            used += idx[:fits].size * size
-            idx = idx[fits:]
-    if pack:
-        yield pack
+def _packs(pieces):
+    """Split the members of `pieces`, in order, into packs of at most
+    BLOCK_COLUMNS columns in all; a member larger than that makes a pack
+    alone.  Yields each pack as (piece, members) pairs."""
+    sizes = []
+    for _, _, cost, keep, _, _ in pieces:
+        if keep is None:
+            sizes.append(np.full(len(cost), cost[0].size))
+        else:
+            sizes.append(keep.sum(axis=(1, 2)) + keep.any(axis=2).sum(axis=1)
+                         + keep.any(axis=1).sum(axis=1))
+    ends = np.cumsum(np.concatenate(sizes))
+    owner = np.repeat(np.arange(len(pieces)), [s.size for s in sizes])
+    member = np.concatenate([np.arange(s.size) for s in sizes])
+    start = 0
+    while start < ends.size:
+        room = BLOCK_COLUMNS + (ends[start - 1] if start else 0)
+        stop = max(int(np.searchsorted(ends, room, side="right")), start + 1)
+        yield [(pieces[k], member[start:stop][owner[start:stop] == k])
+               for k in np.unique(owner[start:stop])]
+        start = stop

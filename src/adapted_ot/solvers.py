@@ -25,7 +25,7 @@ import numpy as np
 from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _constraint_levels,
                        _level_weights, causality_constraints, is_eps_bicausal,
                        is_eps_causal, path_cost_matrix, transport_cost)
-from .lp import LPError, transport_batch, transport_lp
+from .lp import LPError, transport_batch, transport_lp, transport_values
 from .trees import FilteredTree, align, check_valid, _path_ids
 
 DEFAULT_CELL_CAP = 40_000
@@ -420,15 +420,15 @@ def hellwig(x: FilteredTree, y: FilteredTree) -> DistanceReport:
                                                  _law_blocks(y, i), base)
         groups += level_groups
         slots += [(i, vx, vy) for vx, vy, _ in level_slots]
-    solved, iters = transport_batch(groups)
+    solved, iters = transport_values(groups)
     ground = [np.empty((len(x.levels[i]), len(y.levels[i])))
               for i in range(n_levels)]
-    for (i, ax, ay), (val, _) in zip(slots, solved):
+    for (i, ax, ay), val in zip(slots, solved):
         ground[i][np.ix_(ax, ay)] = np.maximum(val, 0.0).reshape(ax.size, ay.size)
-    solved, outer_iters = transport_batch(
+    solved, outer_iters = transport_values(
         [(x.node_probs[i][None], y.node_probs[i][None], ground[i][None])
          for i in range(n_levels)])
-    level_terms = [max(float(val[0]), 0.0) for val, _ in solved]
+    level_terms = [max(float(val[0]), 0.0) for val in solved]
     total = float(sum(w * term for w, term in
                       zip(_level_weights(x.grid), level_terms)))
     return DistanceReport("Hellwig", 1.0, total, None, 0.0, None,

@@ -567,18 +567,25 @@ def tree_to_json(tree: FilteredTree) -> str:
 
 
 def _json_number(v, what: str, types=(int, float)):
-    """`v` if it is a JSON number of `types`, never a bool or a string."""
+    """`v` if it is a JSON number of `types`, never a bool or a string; a
+    number as a float, which an integer beyond the float range is not."""
     if isinstance(v, bool) or not isinstance(v, types):
         raise ValueError(f"{what} must be a JSON {'integer' if types is int else 'number'}"
                          f", got {v!r}")
-    return v
+    if types is int:
+        return v
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{what} must be a JSON number in the float range, got an "
+                         f"integer of {len(str(abs(v)))} digits") from None
 
 
 def tree_from_json(text: str) -> FilteredTree:
     obj = json.loads(text)
     dim = _json_number(obj["dim"], "dim", int)
-    grid = TimeGrid(tuple(obj["grid"]))
-    levels = [[Node(nd["parent"], float(_json_number(nd["prob"], "prob")),
+    grid = TimeGrid(tuple(_json_number(t, "grid time") for t in obj["grid"]))
+    levels = [[Node(nd["parent"], _json_number(nd["prob"], "prob"),
                     [_json_number(c, "value") for c in nd["value"]]) for nd in lv]
               for lv in obj["levels"]]
     return FilteredTree(grid, levels, dim)

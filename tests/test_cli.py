@@ -262,7 +262,18 @@ def _set_node(key, value):
     (_set_node("prob", "0.5"), "prob must be a JSON number, got '0.5'"),
     (_set_node("prob", True), "prob must be a JSON number, got True"),
     (_set_node("value", ["1"]), "value must be a JSON number, got '1'"),
-], ids=["dim-float", "dim-bool", "prob-string", "prob-bool", "value-string"])
+    # an integer literal too large for a float, 1 followed by 400 zeros
+    (_set_node("value", [10 ** 400]), "value must be a JSON number in the float "
+     "range, got an integer of 401 digits"),
+    (_set_node("prob", -10 ** 400), "prob must be a JSON number in the float "
+     "range, got an integer of 401 digits"),
+    (lambda doc: doc.update(grid=["0.5", True]),
+     "grid time must be a JSON number, got '0.5'"),
+    (lambda doc: doc.update(grid=[0.5, True]), "grid time must be a JSON number, got True"),
+    (lambda doc: doc.update(grid=[0.5, 10 ** 400]), "grid time must be a JSON number "
+     "in the float range, got an integer of 401 digits"),
+], ids=["dim-float", "dim-bool", "prob-string", "prob-bool", "value-string",
+        "value-huge", "prob-huge", "grid-string", "grid-bool", "grid-huge"])
 def test_tree_json_takes_only_json_numbers(tmp_path, capsys, edit, message):
     path = _edited_fig1(tmp_path / "tree.json", edit)
     for argv in (("os", "--tree", path),

@@ -13,7 +13,8 @@ from adapted_ot import (align, bursty_time_change, eps_bicausal_lp,
                         random_walk_tree, shifted_time_change,
                         time_changed_bm_pair, transport_lp)
 from adapted_ot.lp import (BLOCK_COLUMNS, FEAS_TOL, RESID_TOL, ZERO_TOL,
-                           LPError, _two_row_plan, transport_batch)
+                           LPError, _two_row_plan, transport_batch,
+                           transport_values)
 
 
 def test_single_cell_transport():
@@ -324,6 +325,17 @@ def _batch_group(rng, m, n, count):
     return p, q, rng.random((count, m, n))
 
 
+def _packed(sizes):
+    """Columns per LP when members of these sizes are packed in order, each
+    LP as full as the cap allows."""
+    packed = [0]
+    for size in sizes:
+        if packed[-1] and packed[-1] + size > BLOCK_COLUMNS:
+            packed.append(0)
+        packed[-1] += size
+    return packed
+
+
 def test_transport_batch_matches_per_problem_lps(rng, lp_calls):
     # members larger than 3 x 3 fill several block-diagonal LPs; the 33 x 32
     # member is larger than one LP and is solved alone; 3 x 3 members are
@@ -333,13 +345,8 @@ def test_transport_batch_matches_per_problem_lps(rng, lp_calls):
     groups = [_batch_group(rng, m, n, k) for (m, n), k in shapes.items()]
     solved, iterations = transport_batch(groups)
     assert iterations > 0
-    # members are packed in order, each LP as full as the cap allows
-    packed = [0]
-    for size in (m * n for (m, n), k in shapes.items()
-                 if min(m, n) >= 3 and (m, n) != (3, 3) for _ in range(k)):
-        if packed[-1] and packed[-1] + size > BLOCK_COLUMNS:
-            packed.append(0)
-        packed[-1] += size
+    packed = _packed([m * n for (m, n), k in shapes.items()
+                      if min(m, n) >= 3 and (m, n) != (3, 3) for _ in range(k)])
     assert [c.size for c, _, _ in lp_calls] == packed
     assert len(packed) >= 4 and 33 * 32 in packed
     for (p, q, cost), (values, plans) in zip(groups, solved):
@@ -365,6 +372,11 @@ def test_transport_batch_makes_no_lp_for_closed_forms(rng, lp_calls):
     assert lp_calls == [] and iterations == 0
     assert [plans.shape for _, plans in solved] == [(50, 1, 3), (50, 2, 7),
                                                    (50, 5, 2)]
+    # the values-only path takes the same closed forms
+    values, iterations = transport_values(groups + [_batch_group(rng, 3, 3, 50)])
+    assert lp_calls == [] and iterations == 0
+    for got, (want, _) in zip(values, solved):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (2, 4), (4, 2), (3, 3), (5, 4)])
@@ -374,8 +386,61 @@ def test_transport_batch_negative_weight_raises(rng, shape):
     side[2, 0] += 1.0
     side[2, -1] -= 1.0  # still balanced, but one weight is negative
     good = _batch_group(rng, 3, 3, 2)
+    for solve in (transport_batch, transport_values):
+        with pytest.raises(LPError, match="infeasible"):
+            solve([good, (p, q, cost)])
+    # the values-only LP has slack columns, so it checks the weights itself,
+    # also on a member that needs no LP: every cell at the member's max
     with pytest.raises(LPError, match="infeasible"):
-        transport_batch([good, (p, q, cost)])
+        transport_values([good, (p, q, np.ones(cost.shape))])
+    unbalanced = _batch_group(rng, *shape, 4)
+    unbalanced[1][1] *= 1 + 1e-6
+    for solve in (transport_batch, transport_values):
+        with pytest.raises(LPError, match="infeasible"):
+            solve([good, unbalanced])
+
+
+def _capped_group(rng, m, n, count, share):
+    """count m x n members in which about `share` of the cells sit at the
+    member's max cost; of the others, some are one ulp below it and some
+    tie at a quarter, a half or three quarters of it.  One row and one
+    column of each member weigh 0."""
+    p, q, cost = _batch_group(rng, m, n, count)
+    p[:, 1], q[:, -1] = 0.0, 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    q /= q.sum(axis=1, keepdims=True)
+    top = rng.uniform(0.5, 2.0, (count, 1, 1))
+    cost = top * np.where(rng.random(cost.shape) < 0.3,
+                          rng.integers(0, 4, cost.shape) / 4, cost)
+    cost = np.where(rng.random(cost.shape) < 0.05, np.nextafter(top, 0), cost)
+    return p, q, np.where(rng.random(cost.shape) < share, top, cost)
+
+
+def test_transport_values_match_full_lps(rng, lp_calls):
+    groups = [_capped_group(rng, m, n, 4, share)
+              for m, n in ((4, 4), (5, 7), (9, 6), (12, 12), (33, 32))
+              for share in (0.0, 0.5, 0.9, 1.0)]
+    values, iterations = transport_values(groups)
+    assert iterations > 0
+    # a member's columns are its cells below its max, at cost c - max < 0,
+    # and one slack of cost 0 on each row and column with such a cell;
+    # members with no such cell make no LP
+    below = [k for _, _, cost in groups
+             for k in cost < cost.max(axis=(1, 2), keepdims=True) if k.any()]
+    sizes = [k.sum() + k.any(axis=1).sum() + k.any(axis=0).sum() for k in below]
+    assert [c.size for c, _, _ in lp_calls] == _packed(sizes)
+    assert len(lp_calls) >= 4 and max(sizes) > BLOCK_COLUMNS
+    for c, A, b in lp_calls:
+        assert (c <= 0).all()
+        assert A.shape == ((c == 0).sum(), c.size)
+    assert sum((c < 0).sum() for c, _, _ in lp_calls) == sum(k.sum() for k in below)
+    lp_calls.clear()
+    for (p, q, cost), vals in zip(groups, values):
+        assert vals.shape == (len(cost),)
+        for b in range(len(cost)):
+            res = transport_lp(p[b], q[b], cost[b])
+            assert res.status == "optimal"
+            assert abs(vals[b] - res.value) <= 1e-12
 
 
 def test_closed_form_batches_import_no_scipy():
@@ -532,8 +597,18 @@ def test_transport_rejects_non_finite_cost(rng, shape, bad):
     cost[1, 0, 0] = cost[1, -1, -1] = bad
     with pytest.raises(ValueError, match="LP data must be finite"):
         transport_lp(p[1], q[1], cost[1])
-    with pytest.raises(ValueError, match="LP data must be finite"):
-        transport_batch([_batch_group(rng, 2, 2, 2), (p, q, cost)])
+    for solve in (transport_batch, transport_values):
+        with pytest.raises(ValueError, match="LP data must be finite"):
+            solve([_batch_group(rng, 2, 2, 2), (p, q, cost)])
+    # a non-finite weight too, on either side; the closed forms see it first
+    cost[1] = 0.0
+    for side in (p, q):
+        side[1, 0] = bad
+        for solve in (transport_batch, transport_values):
+            with pytest.raises(ValueError, match="LP data must be finite"), \
+                    np.errstate(invalid="ignore"):
+                solve([_batch_group(rng, 2, 2, 2), (p, q, cost)])
+        side[1, 0] = 0.0
 
 
 def test_lp_solve_rejects_inconsistent_dimensions():

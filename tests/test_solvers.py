@@ -664,9 +664,18 @@ def _hellwig_oracle(x, y):
     return total + terms[-1], terms
 
 
+def _scaled(tree, factor):
+    return FilteredTree(tree.grid, tuple(
+        tuple(Node(nd.parent, nd.prob, tuple(factor * v for v in nd.value))
+              for nd in lv) for lv in tree.levels), tree.dim)
+
+
 def test_hellwig_matches_per_pair_oracle(rng, fig1):
-    pairs = [fig1, counterexample_pair(2, 8), counterexample_pair(3, 12),
-             (random_walk_tree(5), quantized_bm_tree(5, 2))]
+    rw, bm = random_walk_tree(5), quantized_bm_tree(5, 2)
+    pairs = [fig1, counterexample_pair(2, 8), counterexample_pair(3, 12), (rw, bm),
+             # most ground costs at the cap 1, and none of them
+             (_scaled(rw, 10.0), _scaled(bm, 10.0)),
+             (_scaled(rw, 0.01), _scaled(bm, 0.01))]
     for k in range(30):
         make = coarse_tree if k % 2 else random_tree
         kw = dict(root_atoms=int(rng.integers(1, 3)), branching=(1, 2, 3, 4))
@@ -689,9 +698,22 @@ def test_hellwig_report_keys(fig1):
 
 
 def test_hellwig_solves_few_lps(lp_calls):
-    # solved pair by pair, as `_hellwig_oracle` does, this takes 89 calls
+    # solved pair by pair, as `_hellwig_oracle` does, this takes 89 calls;
+    # over every cell, in block LPs, 6
     hellwig(random_walk_tree(5), quantized_bm_tree(5, 2))
-    assert 1 <= len(lp_calls) <= 6
+    assert len(lp_calls) == 4
+
+
+def test_hellwig_lps_hold_only_cells_below_the_cap(lp_calls):
+    # over every cell, the two stages on ce3 take 9 LPs of 6,038 columns;
+    # 718 of those cells cost less than their member's max.  Each LP column
+    # is such a cell, at cost c - max < 0, or a slack of cost 0 on a row.
+    hellwig(*counterexample_pair(3, 12))
+    assert len(lp_calls) == 2
+    assert sum((c < 0).sum() for c, _, _ in lp_calls) == 718
+    for c, A, _ in lp_calls:
+        assert (c <= 0).all() and (c == 0).sum() == A.shape[0]
+    assert sum(c.size for c, _, _ in lp_calls) == 1402
 
 
 def test_nested_makes_no_lp_for_3x3_levels(lp_calls):
