@@ -1,11 +1,12 @@
 """Couplings of two scenario trees and eps-causality.
 
 A coupling is a joint weight matrix over leaf pairs.  It is causal from X to
-Y within a shift of k grid levels when, at every constraint time t_i
-(`_constraint_levels`), Y's time-t_i atoms are conditionally independent of
-the X-leaves given X's atoms at level min(i+k, N).  `is_eps_causal` checks
-that from masses summed per atom; `causality_constraints` writes it as dense
-LP rows (atom indicators as test functions span all bounded measurables).
+Y within a shift of k grid levels when, at every constraint time t_i, Y's
+time-t_i atoms v are conditionally independent of the X-leaves l given X's
+atoms a at level min(i+k, N): joint[l, v] = P(l | a) joint[a, v].
+`_causal_walk` walks those times either way; `is_eps_causal` checks the
+identity, `causality_constraints` writes it as dense LP rows (atom
+indicators as test functions span all bounded measurables).
 
 `path_cost_matrix` is the one leaf-pair cost of every distance: the sup or
 l1 path metric, built forward over node pairs from `_node_distances`, the
@@ -14,10 +15,11 @@ l1 one weighted by `_level_weights`, which Hellwig's time integral reads too.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .trees import FilteredTree, check_valid
+from .trees import FilteredTree, _law_blocks, check_valid
 
 MARGINAL_TOL = 1e-10
 CAUSAL_TOL = 1e-9
@@ -83,14 +85,34 @@ def _require_same_grid(x: FilteredTree, y: FilteredTree):
 
 
 def _constraint_levels(target: FilteredTree, eps_steps: int):
-    """Per constraint time t_i of causality toward `target`, the levels
-    (i, min(i + eps_steps, N)) of the target's and the source's atoms.  The
-    constraint times are the grid times before the horizon, and the root time
-    when the target's root holds several atoms (with one atom its rows would
-    repeat the marginals)."""
+    """Per constraint time t_i toward `target`, (i, min(i + eps_steps, N)):
+    the grid times before the horizon, and the root time when its root holds
+    several atoms (with one, its rows would repeat the marginals)."""
     n = target.grid.n_steps
     for i in range(0 if len(target.levels[0]) > 1 else 1, n):
         yield i, min(i + eps_steps, n)
+
+
+def _leaf_law(tree: FilteredTree, level: int) -> np.ndarray:
+    """P(leaf | its atom at `level`) for every leaf of `tree`."""
+    out = np.empty(tree.n_leaves)
+    for _, leaves, law in _law_blocks(tree, level):
+        out[leaves] = law
+    return out
+
+
+def _causal_walk(x: FilteredTree, y: FilteredTree, eps_steps: int, direction: str):
+    """Per constraint time of eps-causality in `direction` (the source is x,
+    or y from Y to X): i, j, the source leaves' atoms at level j, the target
+    leaves' atoms at level i, and a function giving P(source leaf | its
+    atom), computed only when called: the shift price never needs it."""
+    _require_same_grid(x, y)
+    if direction not in (X_TO_Y, Y_TO_X):
+        raise ValueError("direction must be 'x_to_y' or 'y_to_x'")
+    src, tgt = (x, y) if direction == X_TO_Y else (y, x)
+    for i, j in _constraint_levels(tgt, eps_steps):
+        yield (i, j, src.ancestors[j], tgt.ancestors[i],
+               functools.partial(_leaf_law, src, j))
 
 
 def _atom_sums(a: np.ndarray, atom: np.ndarray) -> np.ndarray:
@@ -103,35 +125,24 @@ def _atom_sums(a: np.ndarray, atom: np.ndarray) -> np.ndarray:
 
 def causality_constraints(x: FilteredTree, y: FilteredTree, eps_steps: int,
                           direction: str = X_TO_Y) -> np.ndarray:
-    """Dense equality rows for the LP (over the flattened coupling, row-major
-    x-leaf major) expressing eps-causality in the given direction: per
-    constraint time, (1_l - P(l | a) 1_a) outer 1_v for x-leaf l in atom a
-    and y-atom v.  The last leaf of each atom, and the last y-atom of a time
-    with several, are left out, as the marginals imply their rows;
-    single-leaf atoms give none."""
-    _require_same_grid(x, y)
-    nx, ny = x.n_leaves, y.n_leaves
-    if direction == Y_TO_X:
-        # generated over (y-leaf, x-leaf) cells; transpose the cell layout
-        rows = causality_constraints(y, x, eps_steps)
-        return rows.reshape(-1, ny, nx).transpose(0, 2, 1).reshape(-1, nx * ny)
-    if direction != X_TO_Y:
-        raise ValueError("direction must be 'x_to_y' or 'y_to_x'")
-    px = x.leaf_probs
-    blocks = [np.zeros((0, nx * ny))]
-    for i, j in _constraint_levels(y, eps_steps):
-        ax, ay = x.ancestors[j], y.ancestors[i]
-        atoms = np.split(np.argsort(ax, kind="stable"),
-                         np.cumsum(np.bincount(ax))[:-1])
-        mass = np.array([px[leaves].sum() for leaves in atoms])
-        src = np.concatenate([leaves[:-1] for leaves in atoms])
-        # x side of each row: 1_l - P(l | a) 1_a for leaf l of atom a
-        coef = np.where(ax == ax[src, None],
-                        -px[src, None] / mass[ax[src], None], 0.0)
+    """Dense equality rows for the LP over the flattened coupling (x-leaf
+    major) expressing eps-causality in `direction`: per constraint time,
+    (1_l - P(l | a) 1_a) outer 1_v for source leaf l in atom a and target
+    atom v, but for the last leaf of each atom and the last target atom of a
+    time with several, whose rows the marginals imply."""
+    cells = x.n_leaves * y.n_leaves
+    blocks = [np.zeros((0, cells))]
+    for _, _, ax, ay, law in _causal_walk(x, y, eps_steps, direction):
+        # every source leaf but the last of its atom, atom by atom
+        order = np.argsort(ax, kind="stable")
+        src = order[:-1][ax[order[1:]] == ax[order[:-1]]]
+        coef = np.where(ax == ax[src, None], -law()[src, None], 0.0)
         coef[np.arange(src.size), src] += 1.0
         ind = (ay == np.arange(max(ay.max(), 1))[:, None]).astype(float)
-        blocks.append((coef[:, None, :, None] * ind[None, :, None, :])
-                      .reshape(-1, nx * ny))
+        # (row, target atom, x leaf, y leaf)
+        block = (coef[:, None, :, None] * ind[None, :, None, :] if direction == X_TO_Y
+                 else coef[:, None, None, :] * ind[None, :, :, None])
+        blocks.append(block.reshape(-1, cells))
     return np.concatenate(blocks)
 
 
@@ -140,19 +151,11 @@ def is_eps_causal(pi: Coupling, eps: EpsShift, direction: str = X_TO_Y,
     """(holds, max violation) of eps-causality in one direction: the largest
     |joint[l, v] - P(l | a) joint[a, v]| over the constraint times, source
     leaves l in atoms a and target atoms v; O(cells) per time, no rows."""
-    _require_same_grid(pi.left, pi.right)
-    w, x, y = pi.weights, pi.left, pi.right
-    if direction == Y_TO_X:
-        w, x, y = w.T, y, x
-    elif direction != X_TO_Y:
-        raise ValueError("direction must be 'x_to_y' or 'y_to_x'")
-    px = x.leaf_probs
+    w = pi.weights.T if direction == Y_TO_X else pi.weights  # source-leaf major
     worst = 0.0
-    for i, j in _constraint_levels(y, eps.steps):
-        ax, ay = x.ancestors[j], y.ancestors[i]
+    for _, _, ax, ay, law in _causal_walk(pi.left, pi.right, eps.steps, direction):
         joint = _atom_sums(w.T, ay).T  # joint[l, v]: mass of leaf l and atom v
-        cond = px / _atom_sums(px, ax)[ax]
-        resid = joint - cond[:, None] * _atom_sums(joint, ax)[ax]
+        resid = joint - law()[:, None] * _atom_sums(joint, ax)[ax]
         worst = np.maximum(worst, np.abs(resid).max())  # keeps a NaN
     return bool(worst <= tol), float(worst)
 

@@ -22,11 +22,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _constraint_levels,
+from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _causal_walk,
                        _level_weights, causality_constraints, is_eps_bicausal,
                        is_eps_causal, path_cost_matrix, transport_cost)
 from .lp import LPError, transport_batch, transport_lp, transport_values
-from .trees import FilteredTree, align, check_valid, _path_ids
+from .trees import (FilteredTree, _count_blocks, _law_blocks, _path_ids, align,
+                    check_valid)
 
 DEFAULT_CELL_CAP = 40_000
 DEFAULT_STATE_CAP = 6_000_000
@@ -208,44 +209,30 @@ def _pair_groups(bx, by, cost):
     return groups, slots
 
 
-def _count_blocks(owner):
-    """(owners, members) per member count, where owner[k] is the owner of
-    k and members[r] lists the k owned by owners[r] in index order: the
-    children of the parents of a level, or the leaves under the nodes of
-    one."""
-    count = np.bincount(owner)
-    first = np.cumsum(count) - count
-    order = np.argsort(owner, kind="stable")
-    return [(nodes, order[first[nodes][:, None] + np.arange(count[nodes[0]])])
-            for nodes in (np.flatnonzero(count == k) for k in np.unique(count))]
-
-
 # ---------------------------------------------------------------------------
 # Global LPs with causality rows
 
 
 def _causality_blocks(x, y, eps_steps, directions):
-    blocks = [causality_constraints(x, y, eps_steps, d) for d in directions]
-    nonempty = [bl for bl in blocks if bl.shape[0]]
-    return np.vstack(nonempty) if nonempty else None
+    rows = np.vstack([causality_constraints(x, y, eps_steps, d) for d in directions])
+    return rows if rows.shape[0] else None
 
 
 def _shift_time(x, y, steps, directions) -> float:
-    """Real time delay of a shift of `steps` levels: the largest t_j - t_i
-    over the constraint levels (i, j) of `directions`."""
+    """Real time delay of a shift: the largest t_j - t_i along the walks."""
     t = x.grid.level_time
     return max((t(j) - t(i) for d in directions
-                for i, j in _constraint_levels(y if d == X_TO_Y else x, steps)),
-               default=0.0)
+                for i, j, *_ in _causal_walk(x, y, steps, d)), default=0.0)
 
 
-def _constrained_lp(x, y, p, extra, witness, metric):
+def _constrained_lp(x, y, p, eps_steps, directions, witness, metric):
+    """Transport under the causality rows, capped before any row is built."""
     cells = x.n_leaves * y.n_leaves
     if cells > DEFAULT_CELL_CAP:
         raise ValueError(f"leaf product {cells} exceeds LP cap {DEFAULT_CELL_CAP}")
+    extra = _causality_blocks(x, y, eps_steps, directions)
     cost = path_cost_matrix(x, y, metric) ** p
-    rhs = np.zeros(extra.shape[0]) if extra is not None else None
-    res = transport_lp(x.leaf_probs, y.leaf_probs, cost, extra, rhs)
+    res = transport_lp(x.leaf_probs, y.leaf_probs, cost, extra)
     if res.status != "optimal":
         raise LPError(f"causality-constrained LP status {res.status} "
                       f"(infeasibility would contradict the product coupling)")
@@ -268,8 +255,8 @@ def eps_bicausal_lp(x: FilteredTree, y: FilteredTree, eps, p: float = 1.0,
             raise ValueError(f"eps must be an integer or an EpsShift, "
                              f"got {eps!r}") from None
         eps = EpsShift(k, _shift_time(x, y, k, (X_TO_Y, Y_TO_X)))
-    extra = _causality_blocks(x, y, eps.steps, (X_TO_Y, Y_TO_X))
-    value, cpl, iters, nrows = _constrained_lp(x, y, p, extra, witness, metric)
+    value, cpl, iters, nrows = _constrained_lp(x, y, p, eps.steps,
+                                               (X_TO_Y, Y_TO_X), witness, metric)
     return DistanceReport("AW_eps", p, value, eps.steps, eps.epsilon_time, cpl,
                           {"lp_iterations": iters, "constraint_count": nrows,
                            "runtime_s": time.perf_counter() - t0},
@@ -304,23 +291,25 @@ def _scan(x, y, p, directions, kind, penalty, last_shift, witness, metric, w):
         if best is not None and w().value + pen >= best.value - PRUNE_MARGIN:
             break
         dp = k == 0 and x.grid.n_steps > 1 and directions == (X_TO_Y, Y_TO_X)
-        extra = None if dp else _causality_blocks(x, y, k, directions)
+        # the marginals imply every row when each source atom is one leaf
+        implied = not dp and all(ax.max() + 1 == ax.size for d in directions
+                                 for _, _, ax, _, _ in _causal_walk(x, y, k, d))
         if dp:
             rep = nested_bicausal(x, y, p, witness=witness, metric=metric)
             value, cpl, it, nrows = (rep.value, rep.coupling,
                                      rep.diagnostics["lp_iterations"], 0)
-        elif extra is None:
+        elif implied:
             value, cpl, it, nrows = w().value, w().coupling, 0, 0
         else:
-            value, cpl, it, nrows = _constrained_lp(x, y, p, extra, witness,
-                                                    metric)
+            value, cpl, it, nrows = _constrained_lp(x, y, p, k, directions,
+                                                    witness, metric)
         iters += it
         evaluated.append((k, value, pen))
         if best is None or value + pen < best.value - INCUMBENT_MARGIN:
             best = DistanceReport(kind, p, value + pen, k, et, cpl,
                                   {"constraint_count": nrows, "penalty": pen},
                                   metric=metric)
-        if not dp and extra is None:
+        if implied:
             break
     if w.cache_info().currsize > w_solved:
         iters += w().diagnostics["lp_iterations"]
@@ -435,13 +424,3 @@ def hellwig(x: FilteredTree, y: FilteredTree) -> DistanceReport:
                           {"level_terms": level_terms,
                            "lp_iterations": iters + outer_iters,
                            "runtime_s": time.perf_counter() - t0})
-
-
-def _law_blocks(tree, level):
-    """(nodes, leaves, weights) per conditional-law size at `level`: the
-    leaves under each node, in index order, and their weights given it."""
-    out = []
-    for nodes, leaves in _count_blocks(tree.ancestors[level]):
-        w = tree.leaf_probs[leaves]
-        out.append((nodes, leaves, w / w.sum(axis=1, keepdims=True)))
-    return out

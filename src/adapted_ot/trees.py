@@ -16,7 +16,8 @@ The level arrays are derived from the stored form once and cached:
 `level_values`, `leaf_probs` and `leaf_paths`.  Every backward expectation
 E[. | F_t] goes through `children_sum`, which adds prob * x over the
 children in child-index order, the same order as a loop over `children`,
-so its sums are reproducible bit for bit.
+so its sums are reproducible bit for bit.  `_law_blocks` gives each node's
+conditional law over its leaves, grouped by `_count_blocks`.
 
 `validate` first checks what the arrays cannot hold (each parent's presence,
 type and range, each value's length) and, on `probs`, the probability
@@ -288,6 +289,28 @@ def _tree_from_arrays(grid: TimeGrid, parents, probs, values) -> FilteredTree:
         v = map(tuple, np.asarray(v, dtype=float).tolist())
         levels.append(tuple(map(Node, up, p, v)))
     return FilteredTree(grid, tuple(levels), np.shape(values[0])[1])
+
+
+def _count_blocks(owner):
+    """(owners, members) per member count, where owner[k] is the owner of
+    k and members[r] lists the k owned by owners[r] in index order: the
+    children of the parents of a level, or the leaves under the nodes of
+    one."""
+    count = np.bincount(owner)
+    first = np.cumsum(count) - count
+    order = np.argsort(owner, kind="stable")
+    return [(nodes, order[first[nodes][:, None] + np.arange(count[nodes[0]])])
+            for nodes in (np.flatnonzero(count == k) for k in np.unique(count))]
+
+
+def _law_blocks(tree, level):
+    """(nodes, leaves, weights) per conditional-law size at `level`: the
+    leaves under each node, in index order, and their weights given it."""
+    out = []
+    for nodes, leaves in _count_blocks(tree.ancestors[level]):
+        w = tree.leaf_probs[leaves]
+        out.append((nodes, leaves, w / w.sum(axis=1, keepdims=True)))
+    return out
 
 
 def validate(tree: FilteredTree) -> list:

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -321,6 +325,31 @@ def test_exit_code_hellwig_p_other_than_one(capsys, p):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "p must be 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # the DP is over its state cap and falls back to the shift-0 LP, whose
+    # dense rows would take 512 GiB
+    ("--left", "rw:n=12", "--right", "bm:n=12,m=2", "--kind", "aw_strict"),
+    # 65,536 cells; the rows of one constraint time alone would take 1.64 GiB
+    ("--left", "rw:n=8", "--right", "bm:n=8,m=2", "--kind", "aw_eps",
+     "--eps-steps", "1"),
+], ids=["aw_strict-fallback", "aw_eps"])
+def test_lp_cell_cap_is_decided_before_any_row(argv):
+    limit = 2 * 2**30  # address space of the child alone
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "adapted_ot", "dist", *argv],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+             "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert len(done.stderr.strip().splitlines()) == 1
+    assert "exceeds LP cap 40000" in done.stderr
 
 
 @pytest.mark.parametrize("p", [(), ("--p", "1")], ids=["default", "one"])

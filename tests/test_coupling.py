@@ -291,7 +291,9 @@ def test_rows_match_loop_oracle(rng):
 
 
 def test_check_matches_loop_oracle(rng):
-    for x, y in _oracle_pairs(rng, 45):
+    # as in test_rows_match_loop_oracle, the counterexample pair's atoms of 8
+    # or more leaves are the only ones whose masses a pairwise sum can round
+    for x, y in [align(*counterexample_pair(3, 12)), *_oracle_pairs(rng, 45)]:
         for k in range(x.grid.n_steps + 1):
             witness = eps_bicausal_lp(x, y, k).coupling.weights
             plans = [witness, product_coupling(x, y).weights]
@@ -312,6 +314,22 @@ def test_check_matches_loop_oracle(rng):
                     ok, got = is_eps_causal(Coupling(x, y, w), EpsShift(k, 0.0), d)
                     assert abs(got - want) <= 1e-14
                     assert ok == (want <= 1e-9)
+
+
+def test_direction_only_swaps_the_roles(rng):
+    # Y to X is X to Y with the trees swapped, bit for bit: the rows with
+    # their cells transposed, and the check on the transposed coupling
+    for x, y in [align(*counterexample_pair(3, 12)), *_oracle_pairs(rng, 45)]:
+        nx, ny = x.n_leaves, y.n_leaves
+        plans = [product_coupling(x, y).weights, rng.random((nx, ny))]
+        for k in range(x.grid.n_steps + 1):
+            rows = causality_constraints(x, y, k, Y_TO_X)
+            swapped = causality_constraints(y, x, k, X_TO_Y)
+            want = swapped.reshape(-1, ny, nx).transpose(0, 2, 1).reshape(-1, nx * ny)
+            assert rows.tobytes() == want.tobytes()
+            for w in plans:
+                assert (is_eps_causal(Coupling(x, y, w), EpsShift(k, 0.0), Y_TO_X)
+                        == is_eps_causal(Coupling(y, x, w.T), EpsShift(k, 0.0), X_TO_Y))
 
 
 def test_check_rejects_one_cycle_on_a_256_leaf_witness():

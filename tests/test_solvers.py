@@ -599,6 +599,37 @@ def test_solvers_module_holds_no_path_metric():
     assert not found
 
 
+def test_causality_is_walked_in_coupling_alone():
+    """eps-causality has one walk over the constraint times, in
+    `adapted_ot.coupling`, and the conditional laws are tree helpers:
+    `solvers.py` names no constraint levels and defines no law blocks, and
+    one function of `coupling.py` calls `_constraint_levels`."""
+    import ast
+    import pathlib
+
+    import adapted_ot.coupling
+    import adapted_ot.solvers
+
+    def parse(module):
+        return ast.parse(pathlib.Path(module.__file__).read_text())
+
+    def calls(node):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "id", None)
+                   == "_constraint_levels" for n in ast.walk(node))
+
+    found = set()
+    for node in ast.walk(parse(adapted_ot.solvers)):
+        if getattr(node, "id", None) == "_constraint_levels":
+            found.add("_constraint_levels")
+        if isinstance(node, ast.FunctionDef) and node.name in ("_count_blocks",
+                                                               "_law_blocks"):
+            found.add(node.name)
+    assert not found
+    callers = [node.name for node in parse(adapted_ot.coupling).body
+               if isinstance(node, ast.FunctionDef) and calls(node)]
+    assert len(callers) == 1
+
+
 def test_state_cap_is_decided_from_the_tree_shapes():
     # 1 + 2*2 + 4*4 + 8*8 node pairs over the four levels
     x, y = random_walk_tree(3), quantized_bm_tree(3, 2)
