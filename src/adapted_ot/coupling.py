@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .trees import FilteredTree, _law_blocks, check_valid
+from .trees import FilteredTree, check_valid
 
 MARGINAL_TOL = 1e-10
 CAUSAL_TOL = 1e-9
@@ -96,7 +96,7 @@ def _constraint_levels(target: FilteredTree, eps_steps: int):
 def _leaf_law(tree: FilteredTree, level: int) -> np.ndarray:
     """P(leaf | its atom at `level`) for every leaf of `tree`."""
     out = np.empty(tree.n_leaves)
-    for _, leaves, law in _law_blocks(tree, level):
+    for _, leaves, law in tree.law_blocks[level]:
         out[leaves] = law
     return out
 

@@ -5,11 +5,12 @@ min c.x  s.t.  A x = b, x >= 0.
 `lp_solve` calls HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018) through the
 binding that scipy ships, `scipy.optimize._highspy._core`, the one that
 `scipy.optimize.linprog` uses.  It passes the options linprog passes for
-`method="highs-ds"`: presolve on, the simplex solver with the dual
-strategy, primal and dual feasibility tolerances `FEAS_TOL`, no output and
-no debug checks; everything else stays at the HiGHS defaults.  The same
-solver with the same options gives the same solutions and iteration counts
-as linprog, without linprog's input cleaning and result assembly.  The
+`method="highs-ds"`: presolve on (but see below), the simplex solver with
+the dual strategy, primal and dual feasibility tolerances `FEAS_TOL`, no
+output and no debug checks; everything else stays at the HiGHS defaults.
+The same solver with the same options gives the same solutions and
+iteration counts as linprog, without linprog's input cleaning and result
+assembly, and the model goes to HiGHS as arrays in one call.  The
 model status maps to a result as linprog maps it: optimal, infeasible
 (a model error counts as infeasible), unbounded, or `LPError` for the
 rest.  As in linprog's result check, a NaN entry or one below `-BOUND_TOL`
@@ -25,19 +26,18 @@ the spanning trees of K_{3,3} (Dantzig's transportation simplex), and
 taking the feasible one of least cost.  Either way the plan is a vertex.
 
 `transport_batch` solves many transports without extra rows at once: the
-exact small-shape solvers run over whole batches of one shape, and every
-member they leave open goes into block-diagonal LPs of at most
-`BLOCK_COLUMNS` columns, one HiGHS call each.  An optimal basis of a
+exact small-shape solvers run over whole batches of one shape, and the
+members they leave open, laid end to end, fill block-diagonal LPs of at
+most `BLOCK_COLUMNS` columns, one HiGHS call each.  An optimal basis of a
 block-diagonal LP splits into bases of its blocks, so each member's plan is
-still a vertex.  Every returned solution passes the same primal residual
-check.  `transport_values` gives the values of such a batch only, and
-solves each open member over its cells below its largest cost U, with a
-slack on each row and column that has one (Pele & Werman, ICCV 2009): the
-other cells all cost U, so a member whose cells mostly sit at U, as under
-a capped ground cost, makes a much smaller LP.  The same builder makes the
-LPs of both functions; a member of `transport_batch` is the case with
-every cell and no slack.  All three functions reject a non-finite cost
-or weight with ValueError, as `lp_solve` does.
+still a vertex.  These LPs skip presolve, which costs small transports more
+than it saves; every other LP keeps linprog's options.  `transport_values`
+gives the values of such a batch only, and solves each open member over
+its cells below its largest cost U, with a slack on each row and column
+that has one (Pele & Werman, ICCV 2009), so a member whose cells mostly sit
+at U, as under a capped ground cost, makes a much smaller LP.  Every
+returned solution passes the same primal residual check, and all three
+functions reject a non-finite cost or weight with ValueError.
 
 scipy.optimize and scipy.sparse are imported on first use, and the basis
 table of the 3 x 3 shape is built on first use: processes that never solve
@@ -92,12 +92,12 @@ def _optimal(c, x, iterations, resid) -> LPResult:
 
 
 @functools.cache
-def _highs():
-    """scipy's HiGHS binding and the options linprog passes for highs-ds."""
+def _highs(presolve: bool = True):
+    """scipy's HiGHS binding and linprog's highs-ds options, presolve or not."""
     from scipy.optimize._highspy import _core as highs
 
     options = highs.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "on" if presolve else "off"
     options.solver = "simplex"
     options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.primal_feasibility_tolerance = FEAS_TOL
@@ -108,32 +108,26 @@ def _highs():
     return highs, options
 
 
-def _highs_solve(c, A, b):
+def _highs_solve(c, A, b, presolve: bool):
     """One HiGHS run on min c.x, A x = b, x >= 0.  Returns the name of the
     model status, the column values (None unless optimal) and the simplex
     iterations.  Non-finite data raises ValueError, as in linprog."""
     from scipy.sparse import csc_array
 
-    highs, options = _highs()
+    highs, options = _highs(presolve)
     A = csc_array(A)
     if not (np.isfinite(c).all() and np.isfinite(b).all()
             and np.isfinite(A.data).all()):
         raise ValueError("LP data must be finite")
     m, n = A.shape
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.full(n, highs.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = b
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
     solver = highs._Highs()
     solver.passOptions(options)
-    if solver.passModel(lp) == highs.HighsStatus.kError:
+    # column-wise, minimized, no offset, every column continuous
+    if solver.passModel(n, m, A.nnz, highs.MatrixFormat.kColwise,
+                        highs.ObjSense.kMinimize, 0.0, c, np.zeros(n),
+                        np.full(n, highs.kHighsInf), b, b,
+                        A.indptr.astype(np.int32), A.indices.astype(np.int32),
+                        A.data, np.zeros(n, dtype=np.int32)) == highs.HighsStatus.kError:
         return "kModelError", None, 0
     if solver.run() == highs.HighsStatus.kError:
         return solver.getModelStatus().name, None, 0
@@ -144,10 +138,10 @@ def _highs_solve(c, A, b):
     return status.name, np.array(solver.getSolution().col_value), iterations
 
 
-def lp_solve(c, A, b) -> LPResult:
+def lp_solve(c, A, b, *, presolve: bool = True) -> LPResult:
     """Solve min c.x, A x = b, x >= 0 to an optimal basic solution; status
     optimal/infeasible/unbounded.  A is a dense array or a scipy sparse
-    matrix."""
+    matrix; `_block_lps` passes presolve=False."""
     c = np.asarray(c, dtype=float).ravel()
     if not hasattr(A, "tocsr"):
         A = np.asarray(A, dtype=float)
@@ -157,7 +151,7 @@ def lp_solve(c, A, b) -> LPResult:
     n = c.size
     if n == 0:
         return LPResult("optimal", 0.0, np.zeros(0), 0)
-    highs_status, x, iterations = _highs_solve(c, A, b)
+    highs_status, x, iterations = _highs_solve(c, A, b, presolve)
     status = _STATUS.get(highs_status)
     if status == "infeasible":
         return LPResult(status, np.nan, np.full(n, np.nan), iterations)
@@ -301,18 +295,20 @@ def _closed_form(p, q, cost):
     a side, or of 3 x 3 ones: p (B, m), q (B, n), cost (B, m, n) finite;
     negative weights, or no feasible 3 x 3 basis, give inf."""
     m, n = cost.shape[1:]
-    none = False
     if min(m, n) == 1:
-        # one atom forces the plan to the other side's weights
-        plan = np.zeros(cost.shape) + (q[:, None] if m == 1 else p[..., None])
+        # the plan is the other side's weights: only the one atom can be off
+        one, other = (p, q) if m == 1 else (q, p)
+        resid = np.abs(_reduce(np.add, other, 1) - one[:, 0])
+        resid[(one[:, 0] < 0) | _reduce(np.logical_or, other < 0, 1)] = np.inf
+        return (q[:, None] if m == 1 else p[..., None]) + 0.0, resid
+    none = False
+    if m == 2:
+        plan = _two_row_plan(p, q, cost)
+    elif n == 2:
+        plan = _two_row_plan(q, p, cost.swapaxes(1, 2)).swapaxes(1, 2)
     else:
-        if m == 2:
-            plan = _two_row_plan(p, q, cost)
-        elif n == 2:
-            plan = _two_row_plan(q, p, cost.swapaxes(1, 2)).swapaxes(1, 2)
-        else:
-            plan, none = _basis_plans(p, q, cost)
-        plan = np.where(plan < ZERO_TOL, 0.0, plan)
+        plan, none = _basis_plans(p, q, cost)
+    plan = np.where(plan < ZERO_TOL, 0.0, plan)
     resid = np.maximum(
         _reduce(np.maximum, np.abs(_reduce(np.add, plan, 2) - p), 1),
         _reduce(np.maximum, np.abs(_reduce(np.add, plan, 1) - q), 1))
@@ -375,7 +371,7 @@ def _closed_forms(groups):
         _check_finite(cost)
         if _has_closed_form(*cost.shape[1:]):
             plan, resid = _closed_form(p, q, cost)
-            open_members.append(np.flatnonzero(~(resid <= RESID_TOL)))
+            open_members.append((~(resid <= RESID_TOL)).nonzero()[0])
         else:
             plan = np.empty(cost.shape)
             open_members.append(np.arange(len(cost)))
@@ -396,16 +392,17 @@ def transport_batch(groups):
 
     `_closed_form` runs on each whole group of one or two atoms on a side or
     of 3 x 3 members.  The members it leaves open (a failed residual check)
-    and every member of a larger shape are packed, in order, into
-    block-diagonal LPs of at most `BLOCK_COLUMNS` columns, one `lp_solve`
-    call each; a member has every cell as a column.  Returns one
-    (values (B,), plans (B, m, n)) pair per group and the summed simplex
-    iterations; a non-finite cost or weight raises ValueError and an
-    infeasible member `LPError`."""
+    and every member of a larger shape go to `_block_lps` with every cell
+    as a column.  Returns one (values (B,), plans (B, m, n)) pair per group
+    and the summed simplex iterations; a non-finite cost or weight raises
+    ValueError and an infeasible member `LPError`."""
     plans, open_members = _closed_forms(groups)
-    iterations = _block_lps([(p[idx], q[idx], cost[idx], None, plan, idx)
-                             for (p, q, cost), idx, plan
-                             in zip(groups, open_members, plans) if idx.size])
+    opened = [(group, idx, plan) for group, idx, plan
+              in zip(groups, open_members, plans) if idx.size]
+    solved, iterations = _block_lps([(p[idx], q[idx], cost[idx])
+                                     for (p, q, cost), idx, _ in opened])
+    for (_, idx, plan), cells in zip(opened, solved):
+        plan[idx] = cells
     return [(_member_values(cost, plan), plan)
             for (_, _, cost), plan in zip(groups, plans)], iterations
 
@@ -430,7 +427,7 @@ def transport_values(groups):
     negative weight, or sides whose totals differ by more than `RESID_TOL`,
     raise `LPError` here."""
     plans, open_members = _closed_forms(groups)
-    values, pieces, reduced = [], [], []
+    values, opened = [], []
     for (p, q, cost), idx, plan in zip(groups, open_members, plans):
         plan[idx] = 0.0   # the open members' values are set below
         values.append(_member_values(cost, plan))
@@ -441,92 +438,76 @@ def transport_values(groups):
         _check_finite(q)
         if (p < 0).any() or (q < 0).any():
             raise LPError("transport LP is infeasible: a negative weight")
-        gap = np.abs(p.sum(axis=1) - q.sum(axis=1))
+        mass = p.sum(axis=1)
+        gap = np.abs(mass - q.sum(axis=1))
         if (gap > RESID_TOL).any():
             raise LPError(f"transport LP is infeasible: sides differ by {gap.max():.3e}")
         top = cost.max(axis=(1, 2))
-        below = cost - top[:, None, None]
-        keep = below < 0
-        sub = np.zeros(below.shape)
-        lp = np.flatnonzero(keep.any(axis=(1, 2)))
-        if lp.size:
-            pieces.append((p[lp], q[lp], below[lp], keep[lp], sub, lp))
-        reduced.append((values[-1], idx, top * p.sum(axis=1), below, sub))
-    iterations = _block_lps(pieces)
-    for v, idx, capped, below, sub in reduced:
+        opened.append((values[-1], idx, top * mass, p, q, cost - top[:, None, None]))
+    solved, iterations = _block_lps([(p, q, below) for *_, p, q, below in opened],
+                                    [below < 0 for *_, below in opened])
+    for (v, idx, capped, _, _, below), sub in zip(opened, solved):
         v[idx] = capped + _member_values(below, sub)
     return values, iterations
 
 
-def _block_lps(pieces) -> int:
-    """Solve every member of each (p, q, cost, keep, plan, idx) of `pieces`
-    in block-diagonal LPs of at most `BLOCK_COLUMNS` columns, packed in
-    order (a member larger than that gets an LP to itself), and write the
-    solution of its cell columns into `plan[idx]`; returns the summed
-    simplex iterations.
-
-    p (K, m), q (K, n) and cost (K, m, n) hold the K members.  With keep
-    None a member's columns are its cells, row-major, and its rows are its
-    m + n marginal rows.  Otherwise keep (K, m, n) marks the cells that are
-    columns; every row or column of the member with a kept cell keeps its
-    marginal row and gets a slack column of cost 0 in it, and the others
-    drop out.  The cell columns of an LP come first, then its slacks."""
-    if not pieces:
-        return 0
+def _block_lps(batches, keeps=None):
+    """Solve the members of `batches`, (p (K, m), q (K, n), cost (K, m, n))
+    each, laid end to end and packed in that order into block-diagonal LPs
+    of at most `BLOCK_COLUMNS` columns (a larger member gets an LP to
+    itself), one `lp_solve` call each, without presolve.  With keeps None
+    every cell is a column; otherwise keeps marks per batch the cells that
+    are, each marginal row with such a cell gets a slack column of cost 0,
+    and the other rows drop out.  An LP's cell columns come first,
+    row-major by member, then its slacks in row order.  Returns per batch
+    the solution on its cells (K, m, n), 0 off the columns, and the summed
+    simplex iterations."""
+    if not batches:
+        return [], 0
     from scipy.sparse import csc_array
 
-    iterations = 0
-    for pack in _packs(pieces):
-        cells, pairs, c, b, slacks, count = [], [], [], [], [], 0
-        for (p, q, cost, keep, _, _), at in pack:
-            p, q, cost = p[at], q[at], cost[at]
-            kept = np.ones(cost.shape, bool) if keep is None else keep[at]
-            on = np.concatenate([kept.any(axis=2), kept.any(axis=1)], axis=1)
-            # the LP row of each marginal row that stays (where `on`)
-            row = np.cumsum(on).reshape(on.shape) + (count - 1)
-            count += int(on.sum())
-            k, i, j = np.nonzero(kept)
-            cells.append((k, i, j))
-            pairs.append(np.stack([row[k, i], row[k, cost.shape[1] + j]], axis=1).ravel())
-            c.append(cost[kept])
-            b.append(np.concatenate([p, q], axis=1)[on])
-            if keep is not None:
-                slacks.append(row[on])
-        pairs = np.concatenate(pairs)
-        slack = np.concatenate(slacks) if slacks else np.zeros(0, dtype=pairs.dtype)
+    m, n = (np.concatenate([np.full(len(c), c.shape[k]) for *_, c in batches])
+            for k in (1, 2))
+    weight = np.concatenate([np.concatenate([p, q], axis=1).ravel() for p, q, _ in batches])
+    cost = np.concatenate([c.ravel() for *_, c in batches])
+    cols = (np.arange(cost.size) if keeps is None
+            else np.flatnonzero(np.concatenate([k.ravel() for k in keeps])))
+    cell0 = np.cumsum(m * n) - m * n   # each member's first cell
+    row0 = np.cumsum(m + n) - m - n    # and first marginal row
+    member = np.searchsorted(cell0, cols, side="right") - 1
+    i, j = np.divmod(cols - cell0[member], n[member])
+    rows = np.stack([row0[member] + i, row0[member] + m[member] + j])  # a column's rows
+    on = np.zeros(weight.size, dtype=bool)
+    on[rows.ravel()] = True
+    size = np.bincount(member, minlength=m.size)
+    if keeps is not None:
+        size += np.bincount(np.searchsorted(row0, np.flatnonzero(on), side="right") - 1,
+                            minlength=m.size)
+    packed = np.flatnonzero(size)
+    ends = np.cumsum(size[packed])
+    at = np.append(np.searchsorted(cols, cell0), cols.size)  # each member's first column
+    x = np.zeros(cost.size)
+    iterations = start = 0
+    while start < packed.size:
+        room = BLOCK_COLUMNS + (ends[start - 1] if start else 0)
+        stop = max(int(np.searchsorted(ends, room, side="right")), start + 1)
+        a, b = packed[start], packed[stop - 1]
+        span, rowspan = cols[at[a]:at[b + 1]], slice(row0[a], row0[b] + m[b] + n[b])
+        number = np.cumsum(on[rowspan]) - 1   # the LP row of each row that stays
+        count = int(number[-1]) + 1
+        pairs = number[rows[:, at[a]:at[b + 1]] - row0[a]].T.ravel()
+        slack = np.arange(0 if keeps is None else count)
         starts = np.concatenate([np.arange(0, pairs.size, 2),
                                  pairs.size + np.arange(slack.size + 1)])
         A = csc_array((np.ones(starts[-1]), np.concatenate([pairs, slack]), starts),
                       shape=(count, starts.size - 1))
-        res = lp_solve(np.concatenate(c + [np.zeros(slack.size)]), A, np.concatenate(b))
+        res = lp_solve(np.concatenate([cost[span], np.zeros(slack.size)]), A,
+                       weight[rowspan][on[rowspan]], presolve=False)
         if res.status != "optimal":
             raise LPError(f"transport LP ended with status {res.status}")
         iterations += res.iterations
-        col = 0
-        for ((_, _, _, _, plan, idx), at), (k, i, j) in zip(pack, cells):
-            plan[idx[at][k], i, j] = res.x[col:col + k.size]
-            col += k.size
-    return iterations
-
-
-def _packs(pieces):
-    """Split the members of `pieces`, in order, into packs of at most
-    BLOCK_COLUMNS columns in all; a member larger than that makes a pack
-    alone.  Yields each pack as (piece, members) pairs."""
-    sizes = []
-    for _, _, cost, keep, _, _ in pieces:
-        if keep is None:
-            sizes.append(np.full(len(cost), cost[0].size))
-        else:
-            sizes.append(keep.sum(axis=(1, 2)) + keep.any(axis=2).sum(axis=1)
-                         + keep.any(axis=1).sum(axis=1))
-    ends = np.cumsum(np.concatenate(sizes))
-    owner = np.repeat(np.arange(len(pieces)), [s.size for s in sizes])
-    member = np.concatenate([np.arange(s.size) for s in sizes])
-    start = 0
-    while start < ends.size:
-        room = BLOCK_COLUMNS + (ends[start - 1] if start else 0)
-        stop = max(int(np.searchsorted(ends, room, side="right")), start + 1)
-        yield [(pieces[k], member[start:stop][owner[start:stop] == k])
-               for k in np.unique(owner[start:stop])]
+        x[span] = res.x[:span.size]
         start = stop
+    bounds = np.cumsum([c.size for *_, c in batches])[:-1]
+    return [cells.reshape(c.shape) for cells, (*_, c)
+            in zip(np.split(x, bounds), batches)], iterations

@@ -26,8 +26,7 @@ from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _causal_walk,
                        _level_weights, causality_constraints, is_eps_bicausal,
                        is_eps_causal, path_cost_matrix, transport_cost)
 from .lp import LPError, transport_batch, transport_lp, transport_values
-from .trees import (FilteredTree, _count_blocks, _law_blocks, _path_ids, align,
-                    check_valid)
+from .trees import FilteredTree, _path_ids, align, check_valid
 
 DEFAULT_CELL_CAP = 40_000
 DEFAULT_STATE_CAP = 6_000_000
@@ -175,37 +174,38 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
 
 def _child_transports(x, y, level, child_value):
     """Couple the children of every parent pair of `level` (level 0 hangs
-    from one virtual root pair) at the costs `child_value`, one batch per
+    from one virtual root pair) at the costs `child_value`, one group per
     pair of child counts, all in one `transport_batch` call.  Returns the
     values over the parent pairs, the conditional plans over the pairs at
     `level` and the iterations."""
-    bx, by = ([(nodes, kids, t.probs[level][kids])
-               for nodes, kids in _count_blocks(t.parents[level])] for t in (x, y))
+    bx, by = x.child_blocks[level], y.child_blocks[level]
     groups, slots = _pair_groups(bx, by, child_value)
     solved, iters = transport_batch(groups)
-    values = np.empty((sum(v.size for v, _, _ in bx), sum(v.size for v, _, _ in by)))
+    values = np.empty((sum(len(v) for v, _, _ in bx), sum(len(v) for v, _, _ in by)))
     plans = np.empty(child_value.shape)
-    for (vx, vy, cells), (val, plan) in zip(slots, solved):
-        values[np.ix_(vx, vy)] = val.reshape(vx.size, vy.size)
-        plans[cells] = plan.reshape(vx.size, vy.size, *plan.shape[1:])
+    for (at, to), (val, plan) in zip(slots, solved):
+        values.put(at, val)
+        plans.put(to, plan)
     return values, plans, iters
 
 
 def _pair_groups(bx, by, cost):
-    """`transport_batch` groups that couple every x node with every y node.
-    A block is (nodes, members (G, k), weights (G, k)): the nodes whose
-    transports have k atoms on that side, their atoms as indices into
-    `cost` and the atoms' weights.  Returns one group per pair of blocks,
-    and per group its x nodes, its y nodes and its cells of `cost`."""
+    """`transport_batch` groups that couple every x owner with every y
+    owner, one per pair of blocks (owners, members, weights) of the trees'
+    `child_blocks` or `law_blocks`, the members indexing the rows (x) or
+    columns (y) of `cost`.  Returns the groups, x-major, and per group the
+    flat indices of its owner pairs and of its cells in `cost`."""
+    ny = sum(len(v) for v, _, _ in by)
+    flat = cost.ravel()
     groups, slots = [], []
     for vx, mx, wx in bx:
+        rows = (mx * cost.shape[1])[:, None, :, None]
         for vy, my, wy in by:
-            (nx, a), (ny, b) = mx.shape, my.shape
-            cells = (mx[:, None, :, None], my[None, :, None, :])
-            groups.append((np.broadcast_to(wx[:, None], (nx, ny, a)).reshape(-1, a),
-                           np.broadcast_to(wy, (nx, ny, b)).reshape(-1, b),
-                           cost[cells].reshape(-1, a, b)))
-            slots.append((vx, vy, cells))
+            at = rows + my[:, None, :]   # (x owner, y owner, x member, y member)
+            groups.append((wx.repeat(len(vy), axis=0),
+                           wy[None].repeat(len(vx), axis=0).reshape(-1, my.shape[1]),
+                           flat[at].reshape(-1, *at.shape[2:])))
+            slots.append((vx[:, None] * ny + vy, at))
     return groups, slots
 
 
@@ -395,28 +395,25 @@ def hellwig(x: FilteredTree, y: FilteredTree) -> DistanceReport:
     The level terms are integrated against dt + delta_1, with the level
     weights of the l1 path metric.
 
-    The levels are independent, so the ground transports of every level go
-    into one `transport_batch` call, grouped by the sizes of the two
-    conditional laws, and the level transports into a second one.
+    The levels are independent, so the ground transports of every level,
+    grouped by the sizes of the two conditional laws (the trees'
+    `law_blocks`), go into one `transport_values` call, and the level
+    transports into a second one.
     """
     t0 = time.perf_counter()
     x, y = _prepare(x, y, 1.0)
     base = np.minimum(path_cost_matrix(x, y), 1.0)
-    n_levels = x.n_levels
+    ground = [np.empty((len(a), len(b))) for a, b in zip(x.levels, y.levels)]
     groups, slots = [], []
-    for i in range(n_levels):
-        level_groups, level_slots = _pair_groups(_law_blocks(x, i),
-                                                 _law_blocks(y, i), base)
+    for lx, ly, g in zip(x.law_blocks, y.law_blocks, ground):
+        level_groups, level_slots = _pair_groups(lx, ly, base)
         groups += level_groups
-        slots += [(i, vx, vy) for vx, vy, _ in level_slots]
+        slots += [(g, at) for at, _ in level_slots]
     solved, iters = transport_values(groups)
-    ground = [np.empty((len(x.levels[i]), len(y.levels[i])))
-              for i in range(n_levels)]
-    for (i, ax, ay), val in zip(slots, solved):
-        ground[i][np.ix_(ax, ay)] = np.maximum(val, 0.0).reshape(ax.size, ay.size)
-    solved, outer_iters = transport_values(
-        [(x.node_probs[i][None], y.node_probs[i][None], ground[i][None])
-         for i in range(n_levels)])
+    for (g, at), val in zip(slots, solved):
+        g.put(at, np.maximum(val, 0.0))
+    solved, outer_iters = transport_values([(a[None], b[None], g[None]) for a, b, g
+                                            in zip(x.node_probs, y.node_probs, ground)])
     level_terms = [max(float(val[0]), 0.0) for val in solved]
     total = float(sum(w * term for w, term in
                       zip(_level_weights(x.grid), level_terms)))

@@ -16,8 +16,11 @@ The level arrays are derived from the stored form once and cached:
 `level_values`, `leaf_probs` and `leaf_paths`.  Every backward expectation
 E[. | F_t] goes through `children_sum`, which adds prob * x over the
 children in child-index order, the same order as a loop over `children`,
-so its sums are reproducible bit for bit.  `_law_blocks` gives each node's
-conditional law over its leaves, grouped by `_count_blocks`.
+so its sums are reproducible bit for bit.  Two read-only block views,
+built by `_blocks` over all levels laid end to end, group nodes by their
+member counts: `child_blocks` the children of each parent, which the
+nested DP couples, and `law_blocks` each node's conditional law over its
+leaves, which Hellwig and eps-causality read.
 
 `validate` first checks what the arrays cannot hold (each parent's presence,
 type and range, each value's length) and, on `probs`, the probability
@@ -183,15 +186,10 @@ class FilteredTree:
     @cached_property
     def children(self):
         """Per level, list of child-index lists (empty at the last level)."""
-        out = []
-        for i in range(self.n_levels):
-            if i + 1 < self.n_levels:
-                ch = [[] for _ in self.levels[i]]
-                for j, nd in enumerate(self.levels[i + 1]):
-                    ch[nd.parent].append(j)
-                out.append(ch)
-            else:
-                out.append([[] for _ in self.levels[i]])
+        out = [[[] for _ in lv] for lv in self.levels]
+        for i, lv in enumerate(self.levels[1:]):
+            for j, nd in enumerate(lv):
+                out[i][nd.parent].append(j)
         return out
 
     @cached_property
@@ -245,6 +243,20 @@ class FilteredTree:
             out[:, i, :] = self.level_values[i][self.ancestors[i]]
         return out
 
+    @cached_property
+    def child_blocks(self):
+        """`_blocks` of the nodes of each level under their parents (level 0
+        under the virtual root 0), weighted by transition probabilities."""
+        return _blocks(self.parents, [1] + [len(lv) for lv in self.levels[:-1]],
+                       self.probs)
+
+    @cached_property
+    def law_blocks(self):
+        """`_blocks` of the leaves under the nodes of each level, weighted by
+        their probabilities given that node."""
+        return _blocks(self.ancestors, [len(lv) for lv in self.levels],
+                       [self.leaf_probs] * self.n_levels, normalize=True)
+
     def leaves_under(self, level: int, node: int) -> np.ndarray:
         return np.nonzero(self.ancestors[level] == node)[0]
 
@@ -291,26 +303,35 @@ def _tree_from_arrays(grid: TimeGrid, parents, probs, values) -> FilteredTree:
     return FilteredTree(grid, tuple(levels), np.shape(values[0])[1])
 
 
-def _count_blocks(owner):
-    """(owners, members) per member count, where owner[k] is the owner of
-    k and members[r] lists the k owned by owners[r] in index order: the
-    children of the parents of a level, or the leaves under the nodes of
-    one."""
-    count = np.bincount(owner)
-    first = np.cumsum(count) - count
-    order = np.argsort(owner, kind="stable")
-    return [(nodes, order[first[nodes][:, None] + np.arange(count[nodes[0]])])
-            for nodes in (np.flatnonzero(count == k) for k in np.unique(count))]
-
-
-def _law_blocks(tree, level):
-    """(nodes, leaves, weights) per conditional-law size at `level`: the
-    leaves under each node, in index order, and their weights given it."""
-    out = []
-    for nodes, leaves in _count_blocks(tree.ancestors[level]):
-        w = tree.leaf_probs[leaves]
-        out.append((nodes, leaves, w / w.sum(axis=1, keepdims=True)))
-    return out
+def _blocks(owners, sizes, weights, normalize=False):
+    """Per level i, one block (nodes, members, weights) per member count k:
+    the nodes of the sizes[i] at level i that own k members, owners[i]
+    naming the owner of each member; members[r] those of nodes[r] in index
+    order, with weights[i] at them, divided by their sum when `normalize`.
+    Built over all levels laid end to end; every array is read-only."""
+    start, lengths = np.cumsum([0] + sizes), [len(o) for o in owners]
+    owner = np.concatenate(owners) + np.repeat(start[:-1], lengths)
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    count = np.bincount(owner, minlength=start[-1])
+    ranked = np.lexsort((count, level))   # owners by level, then count, then index
+    order = np.lexsort((owner, count[owner], level[owner]))   # and their members
+    nodes = ranked - start[level[ranked]]
+    members = order - np.cumsum([0] + lengths)[level[owner[order]]]
+    weights = np.concatenate(weights)[order]
+    lv, c = level[ranked], count[ranked]
+    # a block is a run of owners of one level and one count
+    head = np.flatnonzero(np.r_[True, (lv[1:] != lv[:-1]) | (c[1:] != c[:-1])]).tolist()
+    lv, c, first = lv.tolist(), c.tolist(), np.r_[0, np.cumsum(c)].tolist()
+    out = [[] for _ in sizes]
+    for s, e in zip(head, head[1:] + [len(c)]):
+        block = (nodes[s:e], members[first[s]:first[e]].reshape(e - s, c[s]),
+                 weights[first[s]:first[e]].reshape(e - s, c[s]))
+        if normalize:
+            block[2][...] /= block[2].sum(axis=1, keepdims=True)
+        for a in block:
+            a.flags.writeable = False
+        out[lv[s]].append(block)
+    return tuple(map(tuple, out))
 
 
 def validate(tree: FilteredTree) -> list:

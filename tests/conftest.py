@@ -26,15 +26,16 @@ def fig1():
 def lp_calls(monkeypatch):
     """The (c, A, b) of every `lp_solve` call made inside the test.  The
     name is patched in `adapted_ot.lp`, where `transport_lp` and
-    `transport_batch` look it up, so every HiGHS call is seen."""
+    `transport_batch` look it up, so every HiGHS call is seen; the
+    keywords (presolve) are passed on."""
     import adapted_ot.lp as lp
 
     calls = []
     solve = lp.lp_solve
 
-    def counted(c, A, b):
+    def counted(c, A, b, **kwargs):
         calls.append((c, A, b))
-        return solve(c, A, b)
+        return solve(c, A, b, **kwargs)
     monkeypatch.setattr(lp, "lp_solve", counted)
     return calls
 

@@ -635,6 +635,6 @@ def test_bad_solution_entry_raises(monkeypatch, bad):
     # the second column is in no row, so clamping it to 0 would leave a
     # solution that passes the residual check
     monkeypatch.setattr(lp_module, "_highs_solve",
-                        lambda c, A, b: ("kOptimal", np.array([1.0, bad]), 1))
+                        lambda c, A, b, presolve: ("kOptimal", np.array([1.0, bad]), 1))
     with pytest.raises(LPError, match="NaN entry or violates x >= 0"):
         lp_solve([1.0, 0.0], [[1.0, 0.0]], [1.0])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -630,6 +632,31 @@ def test_causality_is_walked_in_coupling_alone():
     assert len(callers) == 1
 
 
+def test_levels_are_grouped_by_the_tree_block_views():
+    """The nested DP, Hellwig and the conditional laws of eps-causality
+    group nodes through the block views that `FilteredTree` builds once per
+    tree: `solvers.py` and `coupling.py` call neither `_count_blocks` nor
+    `_law_blocks`, `solvers.py` reads `child_blocks` and `law_blocks`, and
+    `coupling.py` reads `law_blocks`."""
+    import ast
+    import pathlib
+
+    import adapted_ot.coupling
+    import adapted_ot.solvers
+
+    def names(module):
+        nodes = list(ast.walk(ast.parse(pathlib.Path(module.__file__).read_text())))
+        called = {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                  for n in nodes if isinstance(n, ast.Call)}
+        return called, {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+
+    for module, views in ((adapted_ot.solvers, {"child_blocks", "law_blocks"}),
+                          (adapted_ot.coupling, {"law_blocks"})):
+        called, read = names(module)
+        assert not called & {"_count_blocks", "_law_blocks"}
+        assert views <= read
+
+
 def test_state_cap_is_decided_from_the_tree_shapes():
     # 1 + 2*2 + 4*4 + 8*8 node pairs over the four levels
     x, y = random_walk_tree(3), quantized_bm_tree(3, 2)
@@ -768,3 +795,87 @@ def test_nested_three_way_tcbm_pair(lp_calls):
     assert abs(rep.value - 0.22908568140679478) <= 1e-12
     assert lp_calls == [] and rep.diagnostics["lp_iterations"] == 0
     assert rep.verify_witness()
+
+
+# Values captured before the block views, the index-built pair groups and
+# the presolve-free block LPs: the nested DP's value (float.hex),
+# lp_iterations, dp_states and the SHA-256 of its witness bytes, and
+# Hellwig's level terms.  The tenth ce3 term is pinned where the block LPs
+# without presolve put it, 2^-53 above its earlier value.
+_NESTED_PINS = {
+    ("fig1", 1.0, "sup"): ("0x1.0cccccccccccdp+0", 0, 7,
+        "5073e61eafb5e090b20e50cfa38e1505dbb9a00d659ef6cd6659298674226ad7"),
+    ("rwbm5", 1.0, "sup"): ("0x1.b7a6a72ba1849p-3", 0, 1365,
+        "e49c2d902f9c16c4df611a1e6bfc41e191b61730d70319c444ea6b2e3034064e"),
+    ("rwbm5", 2.0, "sup"): ("0x1.e560f81dbf0bcp-3", 0, 1365,
+        "e49c2d902f9c16c4df611a1e6bfc41e191b61730d70319c444ea6b2e3034064e"),
+    ("rwbm5", 1.0, "l1"): ("0x1.0a1ac37f75f8bp-2", 0, 1365,
+        "e49c2d902f9c16c4df611a1e6bfc41e191b61730d70319c444ea6b2e3034064e"),
+    ("ce2", 1.0, "sup"): ("0x1.0000000000000p-1", 0, 1192,
+        "378efebf8f4590d8b0694f781fda5a0f44f4f24cd4d21ceba974ed122a16dd57"),
+    ("ce3", 1.0, "sup"): ("0x1.5555555555556p-1", 0, 3452,
+        "7f5c86b0d86d9f666544430006c5f87281779cde3f4069f88d6a5ae0f8ef3a8f"),
+    ("ce4", 1.0, "sup"): ("0x1.8000000000000p-1", 0, 7504,
+        "bfb7bdaebd5fa97abc86af30fbabfb28c8533059ef31e0b2ca9573bcf7884905"),
+    ("tcbm6", 1.0, "sup"): ("0x1.d52adfacfe129p-3", 0, 597871,
+        "13aaf8e332766a8c3c1a48512d069189d7972b8d1bf45247a2b05217b9d801d8"),
+}
+_HELLWIG_PINS = {
+    "fig1": [
+        "0x1.999999999999cp-4", "0x1.199999999999ap-1", "0x1.999999999999cp-4",
+    ],
+    "rwbm5": [
+        "0x1.b7a6a72ba1848p-3", "0x1.b7a6a72ba1848p-3", "0x1.b7a6a72ba1848p-3",
+        "0x1.b7a6a72ba1848p-3", "0x1.b7a6a72ba1848p-3", "0x1.b7a6a72ba1848p-3",
+    ],
+    "ce2": [
+        "0x1.0000000000000p-1", "0x1.ffffffffffffcp-2", "0x1.0000000000000p-1",
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+        "0x1.0000000000000p-1",
+    ],
+    "ce3": [
+        "0x1.8e38e38e38e38p-2", "0x1.aaaaaaaaaaaa8p-2", "0x1.c71c71c71c71cp-2",
+        "0x1.c71c71c71c71cp-2", "0x1.c71c71c71c71cp-2", "0x1.c71c71c71c71ap-2",
+        "0x1.c71c71c71c71cp-2", "0x1.c71c71c71c71ap-2", "0x1.c71c71c71c71cp-2",
+        "0x1.c71c71c71c71ap-2", "0x1.c71c71c71c718p-2", "0x1.aaaaaaaaaaaa8p-2",
+        "0x1.8e38e38e38e38p-2", "0x1.8e38e38e38e38p-2",
+    ],
+    "ce4": [
+        "0x1.3000000000000p-2", "0x1.5000000000001p-2", "0x1.5fffffffffffep-2",
+        "0x1.6000000000000p-2", "0x1.6000000000000p-2", "0x1.5fffffffffffep-2",
+        "0x1.6000000000002p-2", "0x1.6000000000000p-2", "0x1.6000000000000p-2",
+        "0x1.5fffffffffffep-2", "0x1.6000000000000p-2", "0x1.6000000000000p-2",
+        "0x1.6000000000000p-2", "0x1.6000000000000p-2", "0x1.6000000000000p-2",
+        "0x1.4800000000000p-2", "0x1.3000000000000p-2", "0x1.3000000000000p-2",
+    ],
+    "tcbm6": [
+        "0x1.ad823f048a414p-3", "0x1.d52adfacfe132p-3", "0x1.d52adfacfe124p-3",
+        "0x1.ad823f048a40cp-3", "0x1.ad823f048a418p-3", "0x1.ad823f048a414p-3",
+        "0x1.ad823f048a414p-3",
+    ],
+}
+
+
+def _pinned_pair(name):
+    return {"fig1": lambda: figure1_pair(0.1),
+            "rwbm5": lambda: (random_walk_tree(5), quantized_bm_tree(5, 2)),
+            "ce2": lambda: counterexample_pair(2, 8),
+            "ce3": lambda: counterexample_pair(3, 12),
+            "ce4": lambda: counterexample_pair(4, 16),
+            "tcbm6": lambda: (load_tree("tcbm:n=6,m=3,side=x"),
+                              load_tree("tcbm:n=6,m=3,side=y"))}[name]()
+
+
+@pytest.mark.parametrize("name, p, metric", list(_NESTED_PINS))
+def test_nested_is_pinned_bit_for_bit(name, p, metric):
+    rep = nested_bicausal(*_pinned_pair(name), p, metric=metric)
+    witness = hashlib.sha256(rep.coupling.weights.tobytes()).hexdigest()
+    assert (rep.value.hex(), rep.diagnostics["lp_iterations"],
+            rep.diagnostics["dp_states"], witness) == _NESTED_PINS[name, p, metric]
+
+
+@pytest.mark.parametrize("name", list(_HELLWIG_PINS))
+def test_hellwig_is_pinned_bit_for_bit(name):
+    rep = hellwig(*_pinned_pair(name))
+    assert [t.hex() for t in rep.diagnostics["level_terms"]] == _HELLWIG_PINS[name]

@@ -9,7 +9,8 @@ from adapted_ot import (FilteredTree, GridError, Node, PathLaw, TimeGrid,
 from adapted_ot.solvers import aw
 from adapted_ot.trees import TIME_TOL
 
-from conftest import coarse_tree, deterministic_tree, shuffled, two_coin_tree
+from conftest import (coarse_tree, deterministic_tree, rank1_conditional_laws,
+                      shuffled, two_coin_tree)
 
 
 def test_grid_invariants():
@@ -564,3 +565,34 @@ def test_node_probs_and_ancestors_match_node_loops(rng):
             for i in range(tree.n_levels - 1, -1, -1):
                 assert tree.ancestors[i][k] == j
                 j = tree.levels[i][j].parent
+
+
+def test_block_views_match_loops(rng):
+    """The block views against `rank1_conditional_laws` and a loop over
+    `children`: every owner once, in blocks of one member count each, counts
+    ascending, owners and members in index order; and no cached array can
+    be written."""
+    for k in range(30):
+        make = coarse_tree if k % 2 else random_tree
+        tree = make(rng, max_steps=4, root_atoms=int(rng.integers(1, 4)),
+                    branching=(1, 2, 3, 4))
+        if k % 3 == 0:
+            tree = shuffled(tree, rng)
+        laws = rank1_conditional_laws(tree)
+        for i in range(tree.n_levels):
+            # level 0 hangs from the virtual root 0
+            kids = tree.children[i - 1] if i else [list(range(len(tree.levels[0])))]
+            for view, want in ((tree.child_blocks[i],
+                                [(np.array(c), tree.probs[i][c]) for c in kids]),
+                               (tree.law_blocks[i], [(l, w) for w, l in laws[i]])):
+                assert [m.shape[1] for _, m, _ in view] == sorted({len(m) for m, _ in want})
+                owners = np.concatenate([v for v, _, _ in view])
+                assert sorted(owners.tolist()) == list(range(len(want)))
+                for nodes, members, weights in view:
+                    assert (np.diff(nodes) > 0).all()
+                    for v, m, w in zip(nodes, members, weights):
+                        assert np.array_equal(m, want[v][0])
+                        assert np.array_equal(w, want[v][1])
+                    for a in (nodes, members, weights):
+                        with pytest.raises(ValueError, match="read-only"):
+                            a[...] = 0
