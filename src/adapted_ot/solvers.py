@@ -181,31 +181,32 @@ def _child_transports(x, y, level, child_value):
     bx, by = x.child_blocks[level], y.child_blocks[level]
     groups, slots = _pair_groups(bx, by, child_value)
     solved, iters = transport_batch(groups)
+    del groups   # frees the gathered costs before the write-back
     values = np.empty((sum(len(v) for v, _, _ in bx), sum(len(v) for v, _, _ in by)))
     plans = np.empty(child_value.shape)
     for (at, to), (val, plan) in zip(slots, solved):
-        values.put(at, val)
-        plans.put(to, plan)
+        values.put(np.add(*at), val)
+        plans.put(np.add(*to), plan)
     return values, plans, iters
 
 
 def _pair_groups(bx, by, cost):
-    """`transport_batch` groups that couple every x owner with every y
-    owner, one per pair of blocks (owners, members, weights) of the trees'
-    `child_blocks` or `law_blocks`, the members indexing the rows (x) or
-    columns (y) of `cost`.  Returns the groups, x-major, and per group the
-    flat indices of its owner pairs and of its cells in `cost`."""
+    """`transport_batch` groups coupling every x owner with every y owner,
+    one per pair of blocks (owners, members, weights) of the trees'
+    `child_blocks` or `law_blocks`, members indexing rows (x) or columns
+    (y) of `cost`.  Returns the groups, x-major, and per group the x and y
+    parts that sum to the flat indices of its owner pairs and its cells."""
     ny = sum(len(v) for v, _, _ in by)
     flat = cost.ravel()
     groups, slots = [], []
     for vx, mx, wx in bx:
         rows = (mx * cost.shape[1])[:, None, :, None]
         for vy, my, wy in by:
-            at = rows + my[:, None, :]   # (x owner, y owner, x member, y member)
+            cells = rows, my[:, None, :]   # (x owner, y owner, x member, y member)
             groups.append((wx.repeat(len(vy), axis=0),
                            wy[None].repeat(len(vx), axis=0).reshape(-1, my.shape[1]),
-                           flat[at].reshape(-1, *at.shape[2:])))
-            slots.append((vx[:, None] * ny + vy, at))
+                           flat[np.add(*cells)].reshape(-1, mx.shape[1], my.shape[1])))
+            slots.append(((vx[:, None] * ny, vy), cells))
     return groups, slots
 
 
@@ -411,7 +412,7 @@ def hellwig(x: FilteredTree, y: FilteredTree) -> DistanceReport:
         slots += [(g, at) for at, _ in level_slots]
     solved, iters = transport_values(groups)
     for (g, at), val in zip(slots, solved):
-        g.put(at, np.maximum(val, 0.0))
+        g.put(np.add(*at), np.maximum(val, 0.0))
     solved, outer_iters = transport_values([(a[None], b[None], g[None]) for a, b, g
                                             in zip(x.node_probs, y.node_probs, ground)])
     level_terms = [max(float(val[0]), 0.0) for val in solved]

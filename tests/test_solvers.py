@@ -1,4 +1,8 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -800,8 +804,9 @@ def test_nested_three_way_tcbm_pair(lp_calls):
 # Values captured before the block views, the index-built pair groups and
 # the presolve-free block LPs: the nested DP's value (float.hex),
 # lp_iterations, dp_states and the SHA-256 of its witness bytes, and
-# Hellwig's level terms.  The tenth ce3 term is pinned where the block LPs
-# without presolve put it, 2^-53 above its earlier value.
+# Hellwig's level terms (tcbm6's with BLAS on one thread, as the benchmark
+# runs).  The tenth ce3 term is pinned where the block LPs without presolve
+# put it, 2^-53 above its earlier value.
 _NESTED_PINS = {
     ("fig1", 1.0, "sup"): ("0x1.0cccccccccccdp+0", 0, 7,
         "5073e61eafb5e090b20e50cfa38e1505dbb9a00d659ef6cd6659298674226ad7"),
@@ -849,10 +854,10 @@ _HELLWIG_PINS = {
         "0x1.6000000000000p-2", "0x1.6000000000000p-2", "0x1.6000000000000p-2",
         "0x1.4800000000000p-2", "0x1.3000000000000p-2", "0x1.3000000000000p-2",
     ],
-    "tcbm6": [
-        "0x1.ad823f048a414p-3", "0x1.d52adfacfe132p-3", "0x1.d52adfacfe124p-3",
+    "tcbm6": [   # with BLAS on one thread, see below
+        "0x1.ad823f048a420p-3", "0x1.d52adfacfe13fp-3", "0x1.d52adfacfe124p-3",
         "0x1.ad823f048a40cp-3", "0x1.ad823f048a418p-3", "0x1.ad823f048a414p-3",
-        "0x1.ad823f048a414p-3",
+        "0x1.ad823f048a420p-3",
     ],
 }
 
@@ -877,5 +882,22 @@ def test_nested_is_pinned_bit_for_bit(name, p, metric):
 
 @pytest.mark.parametrize("name", list(_HELLWIG_PINS))
 def test_hellwig_is_pinned_bit_for_bit(name):
-    rep = hellwig(*_pinned_pair(name))
-    assert [t.hex() for t in rep.diagnostics["level_terms"]] == _HELLWIG_PINS[name]
+    if name != "tcbm6":
+        rep = hellwig(*_pinned_pair(name))
+        terms = [t.hex() for t in rep.diagnostics["level_terms"]]
+    else:
+        # the values of its 729 x 729 and 243 x 243 transports are BLAS dot
+        # products, whose summation order follows the BLAS thread count
+        code = ("import json; from adapted_ot import hellwig; "
+                "from adapted_ot.cli import load_tree; "
+                "rep = hellwig(*(load_tree(f'tcbm:n=6,m=3,side={s}') for s in 'xy')); "
+                "print(json.dumps([t.hex() for t in rep.diagnostics['level_terms']]))")
+        one_thread = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS"), "1")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=300,
+                              env={**os.environ, **one_thread,
+                                   "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        terms = json.loads(done.stdout)
+    assert terms == _HELLWIG_PINS[name]
