@@ -222,10 +222,27 @@ def path_cost_matrix(x: FilteredTree, y: FilteredTree, metric: str = "sup") -> n
     return out
 
 
+def _cost_power(c: np.ndarray, p: float):
+    """c ** p, and whether some positive cost's power fell below the smallest
+    normal float; a finite cost whose power overflows is refused."""
+    with np.errstate(over="ignore", under="ignore"):
+        out = c ** p
+    if not np.isfinite(out).all() and (np.isfinite(c) & ~np.isfinite(out)).any():
+        raise ValueError(f"p = {p:g} is too large: a cost ** p overflows")
+    return out, p != 1.0 and bool(((out < np.finfo(float).tiny) & (c > 0.0)).any())
+
+
+def _optimum_root(value: float, lost: bool, p: float) -> float:
+    """max(value, 0) ** (1/p) of an optimum over `_cost_power` costs; refused if
+    powers were lost and it is below tiny * 2**53, where the loss tops an ulp."""
+    if lost and value < np.finfo(float).tiny * 2.0 ** 53:
+        raise ValueError(f"p = {p:g} is too large: a cost ** p underflows")
+    return max(value, 0.0) ** (1.0 / p)
+
+
 def transport_cost(pi: Coupling, p: float = 1.0, metric: str = "sup") -> float:
     """E_pi[d(X,Y)^p]^(1/p) for the chosen path metric."""
     if not 1.0 <= p < np.inf:
         raise ValueError(f"p must be a finite number >= 1, got {p!r}")
-    c = path_cost_matrix(pi.left, pi.right, metric)
-    val = float((pi.weights * c ** p).sum())
-    return val ** (1.0 / p)
+    c, lost = _cost_power(path_cost_matrix(pi.left, pi.right, metric), p)
+    return _optimum_root(float((pi.weights * c).sum()), lost, p)

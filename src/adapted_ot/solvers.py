@@ -23,8 +23,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coupling import (Coupling, EpsShift, X_TO_Y, Y_TO_X, _causal_walk,
-                       _level_weights, causality_constraints, is_eps_bicausal,
-                       is_eps_causal, path_cost_matrix, transport_cost)
+                       _cost_power, _level_weights, _optimum_root,
+                       causality_constraints, is_eps_bicausal, is_eps_causal,
+                       path_cost_matrix, transport_cost)
 from .lp import LPError, transport_batch, transport_lp, transport_values
 from .trees import FilteredTree, _path_ids, align, check_valid
 
@@ -106,11 +107,11 @@ def wasserstein(x: FilteredTree, y: FilteredTree, p: float = 1.0,
     x, y = _prepare(x, y, p, metric)
     (fx, ix), (fy, iy) = _path_ids(x.leaf_paths), _path_ids(y.leaf_paths)
     wx, wy = np.bincount(ix, x.leaf_probs), np.bincount(iy, y.leaf_probs)
-    cost = path_cost_matrix(x, y, metric)[np.ix_(fx, fy)]
-    res = transport_lp(wx, wy, cost ** p)
+    cost, lost = _cost_power(path_cost_matrix(x, y, metric)[np.ix_(fx, fy)], p)
+    res = transport_lp(wx, wy, cost)
     if res.status != "optimal":
         raise LPError(f"transport LP ended with status {res.status}")
-    value = max(res.value, 0.0) ** (1.0 / p)
+    value = _optimum_root(res.value, lost, p)
     cpl = None
     if witness:
         plan = res.x.reshape(wx.size, wy.size)
@@ -149,14 +150,14 @@ def nested_bicausal(x: FilteredTree, y: FilteredTree, p: float = 1.0,
         rep.diagnostics["dp_fallback"] = fallback
         return rep
     n_levels = x.n_levels
-    value = path_cost_matrix(x, y, metric) ** p
+    value, lost = _cost_power(path_cost_matrix(x, y, metric), p)
     plans = [None] * n_levels
     lp_iters = 0
     for i in range(n_levels - 1, -1, -1):
         value, plan, iters = _child_transports(x, y, i, value)
         lp_iters += iters
         plans[i] = plan if witness else None
-    value = max(float(value[0, 0]), 0.0) ** (1.0 / p)
+    value = _optimum_root(float(value[0, 0]), lost, p)
 
     cpl = None
     if witness:
@@ -232,12 +233,12 @@ def _constrained_lp(x, y, p, eps_steps, directions, witness, metric):
     if cells > DEFAULT_CELL_CAP:
         raise ValueError(f"leaf product {cells} exceeds LP cap {DEFAULT_CELL_CAP}")
     extra = _causality_blocks(x, y, eps_steps, directions)
-    cost = path_cost_matrix(x, y, metric) ** p
+    cost, lost = _cost_power(path_cost_matrix(x, y, metric), p)
     res = transport_lp(x.leaf_probs, y.leaf_probs, cost, extra)
     if res.status != "optimal":
         raise LPError(f"causality-constrained LP status {res.status} "
                       f"(infeasibility would contradict the product coupling)")
-    value = max(res.value, 0.0) ** (1.0 / p)
+    value = _optimum_root(res.value, lost, p)
     cpl = Coupling(x, y, res.x.reshape(x.n_leaves, y.n_leaves)) if witness else None
     nrows = 0 if extra is None else extra.shape[0]
     return value, cpl, res.iterations, nrows

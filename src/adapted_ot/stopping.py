@@ -1,7 +1,8 @@
 """Optimal stopping on scenario trees: Snell recursion, stopping-time
 transfer across eps-causal couplings, modulus of continuity, martingale
 defect, and the quantitative stability bound.  Costs are evaluated on
-batches of stopped paths (see `CostFunction`), one call per Snell level.
+batches of stopped paths (see `CostFunction`): one call per level in the
+Snell recursion, one per distinct stopped level for rules and transfers.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from .trees import FilteredTree, check_valid
 class CostFunction:
     """Non-anticipative cost, evaluated on a batch of stopped paths.
 
-    fn(paths, t): paths (..., L, dim) holds per path the values at levels
-    0..k, k the level whose time interval contains t, optionally continued
-    by repeating the level-k value, so the cost never sees the path after
-    the stopping time.  t in [0, 1] has the leading shape (...), and fn
-    returns one cost per path, shape (...); a single prefix (L, dim) with a
-    scalar t is the case (...) = ().  An infinite cost forbids stopping.
+    fn(paths, t): paths (..., k + 1, dim) holds per path exactly the values
+    at levels 0..k, k the level whose time interval contains t, so the cost
+    never sees the path after the stopping time; all paths of one call
+    share k.  t in [0, 1] has the leading shape (...), and fn returns one
+    cost per path, shape (...); a single prefix (k + 1, dim) with a scalar
+    t is the case (...) = ().  An infinite cost forbids stopping.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -96,20 +97,30 @@ def lipschitz_battery():
     return out
 
 
+def _prefix_costs(tree: FilteredTree, leaf, level: int, t, phi: CostFunction):
+    """phi.fn, called once, on the paths of `leaf` through `level` at t (one
+    time or one per leaf): the only gather of stopped paths."""
+    held = tree.leaf_paths[leaf, :level + 1]
+    costs = np.asarray(phi.fn(held, np.broadcast_to(t, leaf.shape)), dtype=float)
+    if costs.shape != leaf.shape:
+        raise ValueError(f"cost {phi.name!r} returned shape {costs.shape} "
+                         f"for stopped paths of shape {held.shape}")
+    return costs
+
+
 def _stopped_costs(tree: FilteredTree, leaves, times, phi: CostFunction) -> np.ndarray:
     """phi(X, t) along each leaf's path at the matching time (clamped to
-    [0, 1]), in one call of phi.fn on the distinct (leaf, time) pairs, so a
-    batch never holds more paths than leaves x distinct times."""
+    [0, 1]), evaluated once per distinct (leaf, time) pair with one call of
+    phi.fn per distinct stopped level."""
     leaves, times = np.broadcast_arrays(leaves, np.clip(times, 0.0, 1.0))
     ts, t_id = np.unique(times.ravel(), return_inverse=True)
     keys, inv = np.unique(leaves.ravel() * ts.size + t_id, return_inverse=True)
     leaf, col = np.divmod(keys, ts.size)
-    level = np.array([tree.grid.floor_level(s) for s in ts])[col, None]
-    held = tree.leaf_paths[leaf[:, None], np.minimum(np.arange(tree.n_levels), level)]
-    costs = np.asarray(phi.fn(held, ts[col]), dtype=float)
-    if costs.shape != keys.shape:
-        raise ValueError(f"cost {phi.name!r} returned shape {costs.shape} "
-                         f"for stopped paths of shape {held.shape}")
+    level = np.array([tree.grid.floor_level(s) for s in ts])[col]
+    costs = np.empty(keys.shape)
+    for k in np.unique(level):
+        at = level == k
+        costs[at] = _prefix_costs(tree, leaf[at], k, ts[col[at]], phi)
     return costs[inv].reshape(leaves.shape)
 
 
@@ -186,7 +197,7 @@ def snell_os(tree: FilteredTree, phi: CostFunction, variant: str = "inf") -> OSR
     for i in range(n - 1, -1, -1):
         rep = np.zeros(len(tree.levels[i]), dtype=int)  # one leaf under each node
         rep[tree.ancestors[i]] = np.arange(tree.n_leaves)
-        raw = _stopped_costs(tree, rep, tree.level_time(i), phi)
+        raw = _prefix_costs(tree, rep, i, tree.level_time(i), phi)
         if i == n - 1 and not np.isfinite(raw).all():
             raise ValueError("cost is not finite at a forced stop")
         # continuing past the horizon is impossible, so it is worth +inf

@@ -352,6 +352,32 @@ def test_lp_cell_cap_is_decided_before_any_row(argv):
     assert "exceeds LP cap 40000" in done.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    # 0.01 ** 200 underflows to 0, and W read 0.0 as the optimum
+    ("--left", "fig1:P", "--right", "fig1:Pe(0.01)", "--kind", "w", "--p", "200"),
+    # costs above 1 overflow to inf
+    *(("--left", "rw:n=3", "--right", "bm:n=3,m=2", "--kind", kind, "--p", "2000")
+      for kind in ("w", "aw", "aw_strict", "scw", "aw_eps")),
+], ids=["w-underflow", "w", "aw", "aw_strict", "scw", "aw_eps"])
+def test_large_p_exits_2_with_one_line(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dist", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert f"p = {argv[-1]} " in err
+
+
+def test_large_p_answers_when_underflow_is_below_one_ulp(capsys):
+    # some costs ** 200 underflow, but the optimum is near 1e60
+    code, out, _ = run_cli(capsys, "dist", "--left", "fig1:P",
+                           "--right", "fig1:Pe(0.01)", "--kind", "aw_strict",
+                           "--p", "200")
+    assert code == 0
+    assert json.loads(out)["value"] == 1.9930805256557358
+
+
 @pytest.mark.parametrize("p", [(), ("--p", "1")], ids=["default", "one"])
 def test_dist_hellwig_at_p_one(capsys, p):
     code, out, _ = run_cli(capsys, "dist", "--left", "fig1:P",

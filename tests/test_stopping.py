@@ -451,6 +451,73 @@ def test_cost_must_return_one_value_per_path(rng):
         eval_rule(t, random_rule(t, rng), scalar)
 
 
+def _recording(phi):
+    """phi, and the list of (paths, t) of every call made to it."""
+    calls = []
+
+    def fn(paths, t):
+        calls.append((paths.copy(), np.array(t, dtype=float)))
+        return phi.fn(paths, t)
+    return CostFunction(fn, phi.name), calls
+
+
+def _check_prefixes(tree, calls, want):
+    """Each call holds paths through one level, each path through its own
+    stopped level, and the calls hold the prefix of every distinct (leaf,
+    time) pair of `want` once."""
+    got = []
+    for paths, t in calls:
+        assert paths.ndim == 3 and paths.shape[2] == tree.dim
+        assert t.shape == paths.shape[:1]
+        assert {tree.grid.floor_level(s) for s in t} == {paths.shape[1] - 1}
+        got += [(p.tobytes(), s) for p, s in zip(paths, t)]
+    assert len({paths.shape[1] for paths, _ in calls}) == len(calls)
+    assert sorted(got) == sorted(
+        (tree.leaf_paths[k, :tree.grid.floor_level(s) + 1].tobytes(), s)
+        for k, s in set(want))
+
+
+def test_costs_see_exactly_the_stopped_prefix(rng):
+    for _ in range(30):
+        t = random_tree(rng, dim=2, root_atoms=int(rng.integers(1, 4)))
+        phi, calls = _recording(cost_by_name("running-max:abs"))
+        snell_os(t, phi)
+        assert len(calls) == t.n_levels
+        for i, (paths, times) in zip(range(t.n_levels - 1, -1, -1), calls):
+            assert paths.shape == (len(t.levels[i]), i + 1, t.dim)
+            assert np.array_equal(paths[:, -1], t.level_values[i])
+            assert np.all(times == t.level_time(i))
+
+        rule = random_rule(t, rng)
+        calls.clear()
+        eval_rule(t, rule, phi)
+        stops = rule.stop_levels()
+        _check_prefixes(t, calls, [(k, t.level_time(i)) for k, i in enumerate(stops)])
+
+        fam = transfer_stopping_time(identity_coupling(t), ZERO_SHIFT, rule)
+        # off-grid times too, each read at the level whose interval holds it
+        fam.plateaus.append((1.0, 1.0, rng.random(t.n_leaves)))
+        calls.clear()
+        fam.values(phi)
+        _check_prefixes(t, calls, [(k, s) for _, _, times in fam.plateaus
+                                   for k, s in enumerate(times)])
+
+
+def test_snell_peak_memory_is_one_leaf_level_prefix():
+    # rw(14): the leaf level alone holds 16,384 prefixes of 15 values, 1.97 MB
+    import tracemalloc
+    t = random_walk_tree(14)
+    phi = cost_by_name("state:put(0.5)")
+    snell_os(t, phi)                             # caches the tree's arrays
+    tracemalloc.start()
+    try:
+        snell_os(t, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
+
+
 def test_transfer_requires_rule_with_right_marginal_leaves():
     y = random_walk_tree(3)                      # 8 leaves
     pi = identity_coupling(y)
